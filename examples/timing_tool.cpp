@@ -44,6 +44,7 @@
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "opt/critical.h"
+#include "opt/graph_solver.h"
 #include "opt/mlp.h"
 #include "opt/sensitivity.h"
 #include "parser/lcs.h"
@@ -66,7 +67,7 @@ using namespace mintc;
 namespace {
 
 int cmd_min(const Circuit& c) {
-  const auto r = opt::minimize_cycle_time(c);
+  const auto r = opt::minimize_cycle_time_graph(c);
   if (!r) {
     std::printf("error: %s\n", r.error().to_string().c_str());
     return 1;

@@ -57,7 +57,7 @@ struct DifferentialOptions {
   /// Constraint-generation knobs (hold constraints, nonoverlap, skew, ...)
   /// handed identically to both optimizing engines.
   opt::GeneratorOptions generator;
-  double tc_tol = 1e-4;         // |Tc_simplex - Tc_graph| tolerance
+  double tc_tol = 1e-9;         // |Tc_simplex - Tc_graph|, relative to max(1, Tc*)
   double departure_tol = 1e-6;  // per-element departure tolerance
   double p1_eps = 1e-5;         // tolerance handed to satisfies_p1
   /// The perturbation checks run at the optimum scaled by this factor, so

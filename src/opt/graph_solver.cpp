@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <vector>
 
-#include "baselines/edge_triggered.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sta/fixpoint.h"
@@ -14,30 +12,9 @@ namespace mintc::opt {
 
 namespace {
 
-// One difference constraint x_u - x_v <= base + tc_coeff * Tc.
-struct DiffEdge {
-  int u = 0;
-  int v = 0;
-  double base = 0.0;
-  double tc_coeff = 0.0;
-};
-
-// The difference system for a circuit: node 0 is the time origin; phases
-// contribute start/end nodes; every element contributes an absolute-departure
-// node.
-struct DiffSystem {
-  int num_nodes = 0;
-  std::vector<DiffEdge> edges;
-  std::vector<int> s_node, e_node, d_node;
-
-  void add(int u, int v, double base, double tc_coeff = 0.0) {
-    edges.push_back({u, v, base, tc_coeff});
-  }
-};
-
-DiffSystem build_system(const Circuit& circuit, const TimingView& view,
-                        const GeneratorOptions& opt) {
-  DiffSystem sys;
+DifferenceSystem build_system(const Circuit& circuit, const TimingView& view,
+                              const GeneratorOptions& opt) {
+  DifferenceSystem sys;
   const int k = circuit.num_phases();
   const int l = circuit.num_elements();
   sys.num_nodes = 1 + 2 * k + l;
@@ -136,42 +113,75 @@ DiffSystem build_system(const Circuit& circuit, const TimingView& view,
   return sys;
 }
 
-// Bellman-Ford feasibility of the difference system at a concrete Tc.
-// On success fills `x` with a feasible assignment (x[0] == 0).
-bool feasible_at(const DiffSystem& sys, double tc, std::vector<double>& x,
-                 long& relaxations) {
-  obs::Tracer& tracer = obs::Tracer::instance();
-  const bool tracing = tracer.enabled();
+// Relaxation threshold relative to the operands' magnitudes: rounding noise
+// around a zero-weight cycle of L edges sheds ~L ulps per round, far below
+// it, so noise never reads as a negative cycle.
+constexpr double kRelTol = 1e-12;
+
+// The negative cycle closed by the predecessor edges, as edge ids, or empty.
+std::vector<int> pred_cycle(const DifferenceSystem& sys, const std::vector<int>& pred) {
+  std::vector<int> seen(pred.size(), -1);  // walk that first reached each node
+  for (int start = 0; start < sys.num_nodes; ++start) {
+    int u = start;
+    while (u >= 0 && seen[static_cast<size_t>(u)] < 0) {
+      seen[static_cast<size_t>(u)] = start;
+      const int id = pred[static_cast<size_t>(u)];
+      u = id < 0 ? -1 : sys.edges[static_cast<size_t>(id)].v;
+    }
+    if (u < 0 || seen[static_cast<size_t>(u)] != start) continue;
+    std::vector<int> cycle;  // u lies on a cycle closed by this walk
+    int v = u;
+    do {
+      cycle.push_back(pred[static_cast<size_t>(v)]);
+      v = sys.edges[static_cast<size_t>(cycle.back())].v;
+    } while (v != u);
+    return cycle;
+  }
+  return {};
+}
+
+// Bellman-Ford at a concrete Tc from a virtual source at distance 0 to every
+// node. Returns true with a feasible `x` (x[0] == 0); otherwise false with
+// a negative cycle's edge ids in `cycle` (empty only if noise kept
+// relaxing). Checking the predecessor graph after every pass finds a
+// negative cycle long before the n-th pass.
+bool bellman_ford(const DifferenceSystem& sys, double tc, std::vector<double>& x,
+                  std::vector<int>& cycle, long& relaxations) {
   const obs::TraceSpan span("graph.bellman-ford", "opt");
-  x.assign(static_cast<size_t>(sys.num_nodes), 0.0);  // virtual source to all
-  for (int pass = 0; pass < sys.num_nodes; ++pass) {
+  const size_t n = static_cast<size_t>(sys.num_nodes);
+  x.assign(n, 0.0);
+  std::vector<int> pred(n, -1);  // edge that last lowered each node
+  for (size_t pass = 0; pass < n; ++pass) {
     bool improved = false;
-    long pass_improvements = 0;  // relaxation-round record, kept when tracing
-    for (const DiffEdge& e : sys.edges) {
+    for (size_t id = 0; id < sys.edges.size(); ++id) {
       // Constraint x_u <= x_v + w: relax dist(u) against dist(v) + w.
+      const DiffEdge& e = sys.edges[id];
       const double w = e.base + e.tc_coeff * tc;
       const double cand = x[static_cast<size_t>(e.v)] + w;
+      double& xu = x[static_cast<size_t>(e.u)];
       ++relaxations;
-      if (cand < x[static_cast<size_t>(e.u)] - 1e-12) {
-        x[static_cast<size_t>(e.u)] = cand;
+      if (xu - cand > kRelTol * (std::fabs(xu) + std::fabs(w))) {
+        xu = cand;
+        pred[static_cast<size_t>(e.u)] = static_cast<int>(id);
         improved = true;
-        if (tracing) ++pass_improvements;
       }
     }
-    if (tracing) {
-      tracer.counter("graph.pass_improvements", static_cast<double>(pass_improvements), "opt");
-    }
     if (!improved) {
-      // Normalize so the origin sits at zero.
-      const double x0 = x[0];
+      const double x0 = x[0];  // normalize so the origin sits at zero
       for (double& v : x) v -= x0;
       return true;
     }
+    cycle = pred_cycle(sys, pred);
+    if (!cycle.empty()) return false;
   }
-  return false;  // negative cycle
+  return false;
 }
 
 }  // namespace
+
+DifferenceSystem difference_system(const Circuit& circuit, const GeneratorOptions& options) {
+  return build_system(circuit, TimingView(circuit), options);
+}
 
 Expected<GraphSolveResult> minimize_cycle_time_graph(const Circuit& circuit,
                                                      const GraphSolveOptions& options) {
@@ -185,55 +195,43 @@ Expected<GraphSolveResult> minimize_cycle_time_graph(const Circuit& circuit,
   const StageTimer wall_timer;
   const obs::TraceSpan span("graph.solve", "opt");
   const TimingView view(circuit);
-  const DiffSystem sys = build_system(circuit, view, options.generator);
+  const DifferenceSystem sys = build_system(circuit, view, options.generator);
   GraphSolveResult res;
   res.stats.view_build_seconds = view.build_seconds();
   std::vector<double> x;
+  std::vector<int> cycle;
 
-  // Bracket the optimum. Warm path: a tc_hint from a previous solve of a
-  // perturbed circuit starts the bracket at [0.95, 1.05] x hint. Cold path:
-  // CPM is feasible when no extensions bite; otherwise double until
-  // feasible.
-  const StageTimer bracket_timer;
-  double lo = 0.0;
-  const bool warm = options.tc_hint > 0.0;
-  double hi = warm ? options.tc_hint * 1.05
-                   : std::max(1.0, baselines::edge_triggered_cpm(circuit).cycle);
-  while (!feasible_at(sys, hi, x, res.relaxations)) {
-    hi *= 2.0;
-    if (hi > options.hi_limit) {
-      return make_error(ErrorKind::kInfeasible,
-                        "no feasible cycle time below the search limit for '" +
-                            circuit.name() + "'");
-    }
-  }
-  if (warm) {
-    // Probe just below the hint: if infeasible there, the bracket shrinks to
-    // ~10% of the hint; otherwise the optimum dropped past it and the search
-    // falls back to [0, hi].
-    const double probe = options.tc_hint * 0.95;
-    if (probe < hi && !feasible_at(sys, probe, x, res.relaxations)) lo = probe;
-    obs::MetricsRegistry::instance().counter("graph.warm_brackets").inc();
-  }
-  res.stats.add_stage("bracket", bracket_timer.seconds());
+  // Parametric step from the lower bound Tc = 0 (C1 forces Tc >= 0): each
+  // negative cycle's zero point is a tighter lower bound, and Tc* is the
+  // first one at which no negative cycle remains.
   const StageTimer search_timer;
-  while (hi - lo > options.tol) {
-    const double mid = 0.5 * (lo + hi);
-    ++res.search_steps;
-    if (feasible_at(sys, mid, x, res.relaxations)) {
-      hi = mid;
-    } else {
-      lo = mid;
+  double tc = 0.0;
+  while (!bellman_ford(sys, tc, x, cycle, res.relaxations)) {
+    double base = 0.0, coeff = 0.0;
+    for (const int id : cycle) {
+      base += sys.edges[static_cast<size_t>(id)].base;
+      coeff += sys.edges[static_cast<size_t>(id)].tc_coeff;
     }
+    // +inf when the cycle has no Tc term (or its weight overflowed): then
+    // it is negative at every cycle time. NaN or no raise: only noise left.
+    const double next = -base / coeff;
+    if (!(next > tc)) {
+      return make_error(ErrorKind::kNotConverged,
+                        "parametric step stalled at Tc = " + std::to_string(tc));
+    }
+    const double cap = options.generator.tc_upper_bound;
+    if (std::isinf(next) || (cap >= 0.0 && next > cap)) {
+      return make_error(ErrorKind::kInfeasible,
+                        "no cycle time satisfies the constraints of '" + circuit.name() + "'");
+    }
+    tc = next;
+    res.binding_cycle = cycle;
+    ++res.jumps;
   }
-  // Final feasible solve at the returned Tc.
-  if (!feasible_at(sys, hi, x, res.relaxations)) {
-    return make_error(ErrorKind::kNotConverged, "binary search lost feasibility (tolerance?)");
-  }
-  res.stats.add_stage("binary-search", search_timer.seconds());
+  res.stats.add_stage("parametric-search", search_timer.seconds());
 
-  res.min_cycle = hi;
-  res.schedule.cycle = hi;
+  res.min_cycle = tc;
+  res.schedule.cycle = tc;
   const int k = circuit.num_phases();
   for (int p = 0; p < k; ++p) {
     const double s = x[static_cast<size_t>(sys.s_node[static_cast<size_t>(p)])];
@@ -242,12 +240,9 @@ Expected<GraphSolveResult> minimize_cycle_time_graph(const Circuit& circuit,
     res.schedule.width.push_back(e - s);
   }
   // Departures: the least L2 fixpoint under the schedule, iterated from
-  // below. Sliding *down* from the Bellman-Ford point (mirroring Algorithm
-  // MLP steps 3-5) needs O(1/|loop gain|) sweeps when the binary search
-  // lands within `tol` of a critical loop — the loop's gain is then ~-tol
-  // and each sweep only sheds that much, so the sweep limit trips. The
-  // upward iteration's cost is bounded by path depth instead and reaches
-  // the same least fixpoint (found by differential fuzzing, seed 26).
+  // below. Sliding *down* from the Bellman-Ford point (as MLP steps 3-5 do)
+  // needs O(1/|loop gain|) sweeps, and a critical loop's gain is zero at
+  // Tc*; the upward iteration's cost is bounded by path depth instead.
   sta::FixpointOptions fix_opts;
   fix_opts.scheme = sta::UpdateScheme::kEventDriven;
   const sta::FixpointResult fix = sta::compute_departures(
@@ -257,15 +252,15 @@ Expected<GraphSolveResult> minimize_cycle_time_graph(const Circuit& circuit,
     return make_error(ErrorKind::kNotConverged,
                       fix.hit_sweep_limit()
                           ? "fixpoint hit the sweep budget (residual " +
-                                std::to_string(fix.residual) + "; tolerance?)"
-                          : "fixpoint diverged (tolerance?)");
+                                std::to_string(fix.residual) + ")"
+                          : "fixpoint diverged");
   }
   res.departure = fix.departure;
   res.stats.absorb(fix.stats);  // folds the departure fixpoint's accounting in
   res.stats.wall_seconds = wall_timer.seconds();
   auto& reg = obs::MetricsRegistry::instance();
   reg.counter("graph.solves").inc();
-  reg.counter("graph.search_steps").inc(res.search_steps);
+  reg.counter("graph.jumps").inc(res.jumps);
   reg.counter("graph.bf_relaxations").inc(res.relaxations);
   return res;
 }

@@ -1,4 +1,4 @@
-// A second exact optimizer — the graph algorithm the paper anticipates.
+// The exact graph optimizer — the algorithm the paper anticipates.
 //
 // Section VI: "The LP formulation provides a convenient theoretical
 // foundation ... for developing algorithms that are potentially more
@@ -19,14 +19,25 @@
 //     L2R: dh_j − dh_i ≤ C_{p_j,p_i}·Tc − Δ_DQ_j − Δ_ji
 //     L3:  s_{p_i} − dh_i ≤ 0
 // (flip-flop pin/setup rows and the optional width/separation/skew/hold
-// extensions transform the same way). Feasibility of a difference system is
-// the absence of a negative cycle (Bellman-Ford), and every weight is
-// nondecreasing in Tc, so feasibility is monotone and the optimal cycle
-// time falls to a binary search over Bellman-Ford calls — no LP at all.
+// extensions transform the same way). A difference system is feasible iff
+// its constraint graph has no negative cycle (Bellman-Ford), and every
+// weight is base + tc_coeff·Tc with tc_coeff ≥ 0, so each cycle's weight
+// is nondecreasing in Tc and crosses zero at Tc = −Σbase / Σtc_coeff.
 //
-// Tests pin this solver to the simplex result on every circuit; the
-// bench_ablation_graph_solver compares their costs.
+// Tc* is found by a parametric negative-cycle step (Lawler/Newton): start
+// at the lower bound Tc = 0; while Bellman-Ford finds a negative cycle,
+// jump Tc to that cycle's zero point. Every jump strictly raises Tc to the
+// exact ratio of some cycle, so the loop ends at the largest one — the
+// binding cycle, whose weight at Tc* is zero. A cycle with Σtc_coeff = 0
+// and negative weight makes the system infeasible at every Tc.
+//
+// Production callers (serve `min` and schedule-less `load`, `timing_tool
+// min`) use this solver. The simplex MLP stays the paper oracle: the
+// figure reproductions, dual-based sensitivities, and the fuzz leg that
+// holds the two solvers to 1e-9 relative agreement.
 #pragma once
+
+#include <vector>
 
 #include "base/error.h"
 #include "model/circuit.h"
@@ -35,16 +46,31 @@
 
 namespace mintc::opt {
 
+/// One difference constraint x_u − x_v ≤ base + tc_coeff·Tc.
+struct DiffEdge {
+  int u = 0;
+  int v = 0;
+  double base = 0.0;
+  double tc_coeff = 0.0;  // always >= 0
+};
+
+/// The difference system of a circuit: node 0 is the time origin; each
+/// phase contributes a start and an end node; each element contributes an
+/// absolute-departure node.
+struct DifferenceSystem {
+  int num_nodes = 0;
+  std::vector<DiffEdge> edges;
+  std::vector<int> s_node, e_node, d_node;
+
+  void add(int u, int v, double base, double tc_coeff = 0.0) {
+    edges.push_back({u, v, base, tc_coeff});
+  }
+};
+
+DifferenceSystem difference_system(const Circuit& circuit, const GeneratorOptions& options = {});
+
 struct GraphSolveOptions {
   GeneratorOptions generator;  // same extension knobs as the LP path
-  double tol = 1e-7;           // absolute Tc tolerance of the binary search
-  double hi_limit = 1e12;
-  /// Warm start: Tc* from a previous solve of a perturbed version of the
-  /// same circuit (<= 0 disables). The bracket starts at [0.95, 1.05] x hint
-  /// instead of [0, CPM-doubling], which cuts the binary search to a few
-  /// steps when the optimum barely moved. Feasibility of the bracket ends is
-  /// re-verified, so a stale hint degrades speed, never the result.
-  double tc_hint = -1.0;
   /// Skip Circuit::validate() — for session loops over a circuit already
   /// validated once (see MlpOptions::assume_valid).
   bool assume_valid = false;
@@ -54,14 +80,19 @@ struct GraphSolveResult {
   double min_cycle = 0.0;
   ClockSchedule schedule;
   std::vector<double> departure;  // L2-fixpoint departures under the schedule
-  int search_steps = 0;           // binary-search iterations
+  /// Edge ids (into difference_system() of the same circuit and options)
+  /// of the binding cycle: its weight at min_cycle is zero. Empty when
+  /// Tc* = 0 needed no jump.
+  std::vector<int> binding_cycle;
+  int jumps = 0;                  // parametric steps (failed Bellman-Ford runs)
   long relaxations = 0;           // Bellman-Ford edge relaxations, total
-  EngineStats stats;              // wall + bracket / binary-search stage split
+  EngineStats stats;              // wall + parametric-search stage split
 };
 
-/// Minimize the cycle time by binary search over difference-constraint
-/// feasibility. Produces the same optimal Tc as minimize_cycle_time (up to
-/// `tol`); fails with kInfeasible when no Tc below hi_limit works.
+/// Minimize the cycle time by the parametric negative-cycle step. Tc*
+/// equals minimize_cycle_time's optimum; the schedule is the Bellman-Ford
+/// one, another optimal schedule than the LP vertex. Fails with
+/// kInfeasible when no Tc satisfies the constraints.
 Expected<GraphSolveResult> minimize_cycle_time_graph(const Circuit& circuit,
                                                      const GraphSolveOptions& options = {});
 

@@ -16,7 +16,7 @@
 #include "obs/cost.h"
 #include "obs/export.h"
 #include "obs/trace.h"
-#include "opt/mlp.h"
+#include "opt/graph_solver.h"
 #include "parser/lcs.h"
 #include "parser/lct.h"
 #include "report/export.h"
@@ -482,9 +482,9 @@ Json TimingService::handle_load(const Json& req, const Json& id) {
     }
     schedule = std::move(parsed.value());
   } else {
-    opt::MlpOptions mlp;
-    mlp.assume_valid = true;  // just validated above
-    Expected<opt::MlpResult> result = opt::minimize_cycle_time(*circuit, mlp);
+    opt::GraphSolveOptions graph;
+    graph.assume_valid = true;  // just validated above
+    Expected<opt::GraphSolveResult> result = opt::minimize_cycle_time_graph(*circuit, graph);
     if (!result) return error_response(id, result.error());
     schedule = result->schedule;
     min_cycle = result->min_cycle;
@@ -964,21 +964,21 @@ Json TimingService::handle_min(const Json& req, const Json& id) {
         }
       }
     }
-    opt::MlpOptions options;
+    opt::GraphSolveOptions options;
     options.assume_valid = true;  // edit batches keep the circuit validate()-clean
-    Expected<opt::MlpResult> mlp = opt::minimize_cycle_time(s.circuit(), options);
-    if (!mlp) {
-      fail_kind = to_string(mlp.error().kind);
-      fail_msg = mlp.error().message;
+    Expected<opt::GraphSolveResult> solved = opt::minimize_cycle_time_graph(s.circuit(), options);
+    if (!solved) {
+      fail_kind = to_string(solved.error().kind);
+      fail_msg = solved.error().message;
       return;
     }
     result = Json::object();
-    result.set("min_cycle", Json(mlp->min_cycle));
-    result.set("schedule", schedule_json(mlp->schedule));
-    result.set("lcs", Json(parser::write_schedule(mlp->schedule)));
+    result.set("min_cycle", Json(solved->min_cycle));
+    result.set("schedule", schedule_json(solved->schedule));
+    result.set("lcs", Json(parser::write_schedule(solved->schedule)));
     result.set("fingerprint", Json(obs::hash_hex(s.content_fingerprint())));
     if (apply) {
-      s.set_schedule(mlp->schedule);
+      s.set_schedule(solved->schedule);
       generation = s.generation();
       result.set("generation", Json(generation));
     } else {

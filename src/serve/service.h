@@ -12,7 +12,7 @@
 // Verbs:
 //   load        create/replace the session for a circuit key from .lct text
 //               (or a named builtin), with an optional .lcs schedule
-//               (default: the MLP optimum)
+//               (default: the exact graph optimizer's optimum)
 //   edit_batch  apply a list of edits atomically (all-or-nothing: any
 //               invalid edit rolls the whole batch back via the undo log)
 //   analyze     eq. 17 fixpoint + setup/hold checks; bit-identical to a
@@ -26,8 +26,9 @@
 //               a uniform per-latch skew per step — the design's
 //               skew-tolerance curve over the wire
 //   undo        rewind the last edit batch (or to an explicit mark)
-//   min         MLP minimum cycle time + optimal schedule for the loaded
-//               circuit (what lets `timing_tool min --remote` work)
+//   min         minimum cycle time + optimal schedule for the loaded
+//               circuit from the exact graph optimizer (what lets
+//               `timing_tool min --remote` work)
 //   stats       service introspection: per-session pool state, cache
 //               hit/byte/eviction counters, latency/queue metrics
 //   metrics     the full metrics registry rendered in the Prometheus text

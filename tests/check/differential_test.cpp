@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "check/fuzzer.h"
 #include "check/shrink.h"
 #include "circuits/appendix_fig1.h"
@@ -70,11 +72,12 @@ TEST(Differential, ConsistentInfeasibilityIsNotAFailure) {
   EXPECT_FALSE(rep.feasible);
 }
 
-// Regression: fuzz seed 26 (pre-fix). The binary search lands within `tol`
-// of a critical loop; sliding the departures down from the Bellman-Ford
-// point then sheds only ~tol per sweep and tripped the sweep limit, so the
-// graph solver errored with kNotConverged on circuits the simplex solved.
-// Fixed by iterating the final fixpoint up from zero instead.
+// Regression: fuzz seed 26 (pre-fix). The graph solver's former binary
+// search landed within `tol` of a critical loop; sliding the departures down
+// from the Bellman-Ford point then shed only ~tol per sweep and tripped the
+// sweep limit, so the graph solver errored with kNotConverged on circuits
+// the simplex solved. Fixed by iterating the final fixpoint up from zero
+// instead; the exact solver now sits on the critical loop (gain exactly 0).
 TEST(GraphSolverRegression, NearCriticalLoopFromFuzzSeed26) {
   constexpr const char* kRepro = R"(
 circuit synthetic_k3_s4_l2
@@ -99,7 +102,7 @@ path S3L0 S0L0 delay=22
   const auto bf = opt::minimize_cycle_time_graph(*c);
   ASSERT_TRUE(lp) << lp.error().to_string();
   ASSERT_TRUE(bf) << bf.error().to_string();
-  EXPECT_NEAR(bf->min_cycle, lp->min_cycle, 1e-4);
+  EXPECT_NEAR(bf->min_cycle, lp->min_cycle, 1e-9 * lp->min_cycle);
   const DifferentialReport rep = check_circuit(*c, 26);
   EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
@@ -127,7 +130,7 @@ TEST(GraphSolverRegression, PinsToSimplexOnEveryCircuitFamily) {
     const auto bf = opt::minimize_cycle_time_graph(c);
     ASSERT_TRUE(lp) << c.name();
     ASSERT_TRUE(bf) << c.name() << ": " << bf.error().to_string();
-    EXPECT_NEAR(bf->min_cycle, lp->min_cycle, 1e-4) << c.name();
+    EXPECT_NEAR(bf->min_cycle, lp->min_cycle, 1e-9 * std::max(1.0, lp->min_cycle)) << c.name();
   }
 }
 

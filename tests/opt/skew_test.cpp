@@ -130,7 +130,7 @@ TEST(OptSkew, EnginesAgreeUnderPerLatchSkew) {
   const auto bf = opt::minimize_cycle_time_graph(c);
   ASSERT_TRUE(lp.has_value());
   ASSERT_TRUE(bf.has_value());
-  EXPECT_NEAR(lp->min_cycle, bf->min_cycle, 1e-4 * std::max(1.0, lp->min_cycle));
+  EXPECT_NEAR(lp->min_cycle, bf->min_cycle, 1e-9 * std::max(1.0, lp->min_cycle));
   EXPECT_TRUE(opt::satisfies_p1(c, lp->schedule, lp->departure, 1e-5));
   EXPECT_TRUE(opt::satisfies_p1(c, bf->schedule, bf->departure, 1e-5));
 }

@@ -7,13 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "circuits/example1.h"
+#include "circuits/synthetic.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "opt/mlp.h"
 #include "parser/lct.h"
 #include "parser/lcs.h"
 #include "sta/analysis.h"
@@ -242,9 +246,13 @@ TEST(ServeService, SkewEditInvalidatesCacheAndChangesFingerprint) {
   const Json before = service.handle(analyze);
   EXPECT_TRUE(service.handle(analyze).get("cached").as_bool(false));
 
+  // Skew the endpoint that sets the worst setup slack under the loaded
+  // optimal schedule.
+  const long worst = before.get("result").get("worst_setup_element").as_long(-1);
+  ASSERT_GE(worst, 0) << before.dump();
   Json edits = Json::array();
   edits.push(req({{"op", Json("set_element_skew")},
-                  {"element", Json(0L)},
+                  {"element", Json(worst)},
                   {"value", Json(5.0)}}));
   const Json r = expect_ok(service, req({{"verb", Json("edit_batch")},
                                          {"circuit", Json("e1")},
@@ -346,6 +354,72 @@ TEST(ServeService, MinVerbMatchesLoadOptimum) {
   const Expected<ClockSchedule> parsed = parser::parse_schedule(r.get("lcs").as_string());
   ASSERT_TRUE(parsed);
   EXPECT_DOUBLE_EQ(parsed->cycle, 110.0);
+}
+
+ClockSchedule schedule_of(const Json& s) {
+  ClockSchedule schedule;
+  schedule.cycle = s.num_or("cycle", 0.0);
+  for (const Json& v : s.get("start").items()) schedule.start.push_back(v.as_number());
+  for (const Json& v : s.get("width").items()) schedule.width.push_back(v.as_number());
+  return schedule;
+}
+
+// The served optimum (graph optimizer) agrees with the simplex oracle to
+// 1e-9 relative, and its schedule is feasible: it passes check_schedule and
+// its least-fixpoint departures satisfy P1.
+void expect_served_optimum(const Circuit& c, const Json& result) {
+  const auto lp = opt::minimize_cycle_time(c);
+  ASSERT_TRUE(lp) << c.name();
+  const double tc = result.get("min_cycle").as_number();
+  EXPECT_NEAR(tc, lp->min_cycle, 1e-9 * lp->min_cycle) << c.name();
+  const ClockSchedule schedule = schedule_of(result.get("schedule"));
+  EXPECT_EQ(schedule.cycle, tc);
+  const sta::TimingReport report = sta::check_schedule(c, schedule);
+  EXPECT_TRUE(report.feasible) << c.name();
+  std::vector<double> departure;
+  for (const sta::ElementTiming& e : report.elements) departure.push_back(e.departure);
+  EXPECT_TRUE(opt::satisfies_p1(c, schedule, departure)) << c.name();
+}
+
+TEST(ServeService, ScheduleLessLoadAndMinMatchSimplexOnGeneratedCircuits) {
+  circuits::SyntheticParams p;
+  for (const int stages : {16, 32}) {  // 64 and 128 latches
+    p.num_stages = stages;
+    // The .lct writer rounds delays, so the reference is the circuit parsed
+    // back from the text the service receives.
+    const std::string text = parser::write_circuit(circuits::synthetic_circuit(p, 2718));
+    const Expected<Circuit> c = parser::parse_circuit(text);
+    ASSERT_TRUE(c);
+    ASSERT_EQ(c->num_elements(), 4 * stages);
+    TimingService service;
+    const Json loaded = expect_ok(service, req({{"verb", Json("load")},
+                                                {"circuit", Json("g")},
+                                                {"text", Json(text)}}))
+                            .get("result");
+    expect_served_optimum(*c, loaded);
+    const Json min = expect_ok(service, req({{"verb", Json("min")}, {"circuit", Json("g")}}))
+                         .get("result");
+    expect_served_optimum(*c, min);
+    EXPECT_EQ(min.get("min_cycle").as_number(), loaded.get("min_cycle").as_number());
+  }
+}
+
+TEST(ServeService, MinOnInfeasibleCircuitIsATypedError) {
+  // Finite delays whose loop sum overflows: no finite cycle time exists.
+  const std::string text =
+      "circuit overflow\nphases 2\n"
+      "latch A phase=1 setup=1 dq=2\nlatch B phase=2 setup=1 dq=2\n"
+      "path A B delay=1.5e308\npath B A delay=1.5e308\n";
+  TimingService service;
+  expect_error(service,
+               req({{"verb", Json("load")}, {"circuit", Json("x")}, {"text", Json(text)}}),
+               "infeasible");
+  expect_ok(service, req({{"verb", Json("load")},
+                          {"circuit", Json("x")},
+                          {"text", Json(text)},
+                          {"schedule", Json("cycle 10\nphase 1 start=0 width=4\n"
+                                            "phase 2 start=5 width=4\n")}}));
+  expect_error(service, req({{"verb", Json("min")}, {"circuit", Json("x")}}), "infeasible");
 }
 
 TEST(ServeService, ReportVerbRendersInMemory) {
