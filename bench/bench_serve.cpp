@@ -10,14 +10,18 @@
 //   warm  — default cache, primed by one pass: every request is a content-
 //           fingerprint cache hit.
 // Exact p50/p95/p99 per lane over --iters requests, plus a mixed
-// multi-threaded edit+analyze throughput lane on a fresh service.
+// multi-threaded edit+analyze throughput lane on a fresh service (run to a
+// 200 ms time floor so the rate is not a handful of milliseconds of noise),
+// and an edit-scaling lane: the p50 of a one-edit edit_batch on a ~100-latch
+// circuit over its p50 on a ~10^4-latch one (near 1 when an edit batch costs
+// O(batch), near 0.01 when it pays a whole-circuit pass).
 //
 // Writes BENCH_serve.json (BENCH_overhead.json in --overhead-check mode;
 // --out <path> overrides). --small shrinks the iteration counts for CI
-// smoke runs; --check gates the acceptance criterion: per circuit, the warm
+// smoke runs; --check gates the acceptance criteria: per circuit, the warm
 // cache serves the request mix at least 5x faster (sum of p50s) than
-// recomputation, and cached responses are identical to recomputed ones
-// modulo wall-clock metadata fields.
+// recomputation, cached responses are identical to recomputed ones modulo
+// wall-clock metadata fields, and the edit-scaling ratio is at least 0.25.
 #include <algorithm>
 #include <atomic>
 #include <cctype>
@@ -32,8 +36,10 @@
 
 #include "base/table.h"
 #include "circuits/synthetic.h"
+#include "model/clock.h"
 #include "obs/export.h"
 #include "obs/profiler.h"
+#include "parser/lcs.h"
 #include "parser/lct.h"
 #include "serve/json.h"
 #include "serve/service.h"
@@ -172,7 +178,9 @@ struct Throughput {
 
 /// Mixed edit+analyze traffic from `threads` workers over `streams` circuit
 /// keys on a fresh default-config service — the serving hot path end to end.
-Throughput run_throughput(int threads, int streams, int rounds) {
+/// One pass gives every stream `rounds` edit+analyze rounds; passes repeat
+/// until `min_seconds` of wall time are measured.
+Throughput run_throughput(int threads, int streams, int rounds, double min_seconds) {
   serve::TimingService service;
   std::vector<std::string> texts;
   for (int s = 0; s < streams; ++s) {
@@ -180,41 +188,46 @@ Throughput run_throughput(int threads, int streams, int rounds) {
     load_into(service, "tp-" + std::to_string(s), texts.back());
   }
   std::vector<std::vector<double>> lat(static_cast<size_t>(threads));
-  std::atomic<int> next{0};
   const double start = now_seconds();
-  std::vector<std::thread> workers;
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      for (int s = next.fetch_add(1); s < streams; s = next.fetch_add(1)) {
-        const std::string key = "tp-" + std::to_string(s);
-        for (int round = 0; round < rounds; ++round) {
-          Json edit = Json::object();
-          edit.set("op", Json("set_path_delay"));
-          edit.set("path", Json(static_cast<long>(round % 7)));
-          edit.set("delay", Json(5.0 + round * 0.125));
-          Json edits = Json::array();
-          edits.push(std::move(edit));
-          Json batch = Json::object();
-          batch.set("verb", Json("edit_batch"));
-          batch.set("circuit", Json(key));
-          batch.set("edits", std::move(edits));
-          Json analyze = Json::object();
-          analyze.set("verb", Json("analyze"));
-          analyze.set("circuit", Json(key));
-          for (const Json* request : {&batch, &analyze}) {
-            const double t0 = now_seconds();
-            const std::string frame = service.handle_line(request->dump());
-            lat[static_cast<size_t>(t)].push_back((now_seconds() - t0) * 1e6);
-            if (frame.find("\"ok\":true") == std::string::npos) {
-              std::fprintf(stderr, "throughput request failed: %s", frame.c_str());
-              std::exit(1);
+  for (int pass = 0; pass == 0 || now_seconds() - start < min_seconds; ++pass) {
+    std::atomic<int> next{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] {
+        for (int s = next.fetch_add(1); s < streams; s = next.fetch_add(1)) {
+          const std::string key = "tp-" + std::to_string(s);
+          for (int round = 0; round < rounds; ++round) {
+            // Cycle the delay through eight values across passes, so a
+            // later pass still edits (and re-analyzes) instead of no-oping.
+            const int step = (pass * rounds + round) % 8;
+            Json edit = Json::object();
+            edit.set("op", Json("set_path_delay"));
+            edit.set("path", Json(static_cast<long>(round % 7)));
+            edit.set("delay", Json(5.0 + step * 0.125));
+            Json edits = Json::array();
+            edits.push(std::move(edit));
+            Json batch = Json::object();
+            batch.set("verb", Json("edit_batch"));
+            batch.set("circuit", Json(key));
+            batch.set("edits", std::move(edits));
+            Json analyze = Json::object();
+            analyze.set("verb", Json("analyze"));
+            analyze.set("circuit", Json(key));
+            for (const Json* request : {&batch, &analyze}) {
+              const double t0 = now_seconds();
+              const std::string frame = service.handle_line(request->dump());
+              lat[static_cast<size_t>(t)].push_back((now_seconds() - t0) * 1e6);
+              if (frame.find("\"ok\":true") == std::string::npos) {
+                std::fprintf(stderr, "throughput request failed: %s", frame.c_str());
+                std::exit(1);
+              }
             }
           }
         }
-      }
-    });
+      });
+    }
+    for (std::thread& w : workers) w.join();
   }
-  for (std::thread& w : workers) w.join();
   Throughput tp;
   tp.seconds = now_seconds() - start;
   std::vector<double> all;
@@ -224,6 +237,61 @@ Throughput run_throughput(int threads, int streams, int rounds) {
       tp.seconds > 0 ? static_cast<double>(tp.requests) / tp.seconds : 0.0;
   tp.latency = percentiles_us(all);
   return tp;
+}
+
+struct EditScaling {
+  int small_latches = 0;
+  int large_latches = 0;
+  double small_p50_us = 0.0;
+  double large_p50_us = 0.0;
+  double flat_speedup = 0.0;  // small p50 / large p50: 1 = size-independent
+};
+
+/// p50 of a served one-edit edit_batch on a synthetic circuit of
+/// `stages` x 4 latches. Each batch moves one path delay to a new value (no
+/// analyze), so the latency is the edit path alone: request parse, the
+/// edit, the end-of-batch validation, the fingerprint and the response.
+double edit_batch_p50_us(int stages, int iters, int& latches) {
+  circuits::SyntheticParams params;
+  params.num_stages = stages;
+  const Circuit circuit = circuits::synthetic_circuit(params, 4242);
+  latches = circuit.num_elements();
+  serve::TimingService service;
+  Json load = Json::object();
+  load.set("verb", Json("load"));
+  load.set("circuit", Json("edit"));
+  load.set("text", Json(parser::write_circuit(circuit)));
+  // A fixed schedule keeps the exact optimizer out of the set-up.
+  load.set("schedule", Json(parser::write_schedule(symmetric_schedule(2, 200.0, 0.5))));
+  if (!service.handle(load).get("ok").as_bool(false)) {
+    std::fprintf(stderr, "edit-scaling load failed\n");
+    std::exit(1);
+  }
+  std::vector<double> us;
+  us.reserve(static_cast<size_t>(iters));
+  for (int i = 0; i < iters; ++i) {
+    const int p = i % 16;
+    const double delay = circuit.path(p).delay + ((i / 16) % 2 == 0 ? 0.125 : 0.0);
+    const std::string request =
+        R"({"verb":"edit_batch","circuit":"edit","edits":[{"op":"set_path_delay","path":)" +
+        std::to_string(p) + R"(,"delay":)" + obs::json_number(delay) + "}]}";
+    const double t0 = now_seconds();
+    const std::string frame = service.handle_line(request);
+    us.push_back((now_seconds() - t0) * 1e6);
+    if (frame.find("\"ok\":true") == std::string::npos) {
+      std::fprintf(stderr, "edit-scaling request failed: %s", frame.c_str());
+      std::exit(1);
+    }
+  }
+  return percentiles_us(us).p50;
+}
+
+EditScaling run_edit_scaling(int iters) {
+  EditScaling e;
+  e.small_p50_us = edit_batch_p50_us(25, iters, e.small_latches);
+  e.large_p50_us = edit_batch_p50_us(2500, iters, e.large_latches);
+  e.flat_speedup = e.large_p50_us > 0 ? e.small_p50_us / e.large_p50_us : 0.0;
+  return e;
 }
 
 /// Cacheable request set: per circuit, one analyze (detail), one signoff
@@ -449,7 +517,9 @@ int main(int argc, char** argv) {
     mix_speedups.emplace_back(key, warm_sum > 0 ? cold_sum / warm_sum : 0.0);
   }
 
-  const Throughput tp = run_throughput(small ? 4 : 8, small ? 16 : 64, small ? 4 : 10);
+  const Throughput tp =
+      run_throughput(small ? 4 : 8, small ? 16 : 64, small ? 4 : 10, /*min_seconds=*/0.2);
+  const EditScaling scaling = run_edit_scaling(small ? 400 : 2000);
 
   std::printf("== serve: result-cache latency (cold = cache off, warm = cache hit) ==\n");
   TextTable table({"case", "cold p50 us", "cold p99 us", "warm p50 us",
@@ -469,6 +539,10 @@ int main(int argc, char** argv) {
               "p50 %.0fus p95 %.0fus p99 %.0fus\n",
               tp.requests, tp.seconds, tp.requests_per_second, tp.latency.p50,
               tp.latency.p95, tp.latency.p99);
+  std::printf("one-edit edit_batch p50: %.1fus at %d latches, %.1fus at %d latches "
+              "(flat speedup %.3f, gate >= 0.25)\n",
+              scaling.small_p50_us, scaling.small_latches, scaling.large_p50_us,
+              scaling.large_latches, scaling.flat_speedup);
 
   std::ofstream json(out);
   json << "{\"meta\": " << obs::run_metadata_json(obs::run_metadata())
@@ -491,7 +565,12 @@ int main(int argc, char** argv) {
   json << "}, \"throughput\": {\"requests\": " << tp.requests
        << ", \"wall_seconds\": " << obs::json_number(tp.seconds)
        << ", \"requests_per_second\": " << obs::json_number(tp.requests_per_second)
-       << ", \"latency\": " << pct_json(tp.latency) << "}}\n";
+       << ", \"latency\": " << pct_json(tp.latency) << "}"
+       << ", \"edit_scaling\": {\"small_latches\": " << scaling.small_latches
+       << ", \"large_latches\": " << scaling.large_latches
+       << ", \"small_p50_us\": " << obs::json_number(scaling.small_p50_us)
+       << ", \"large_p50_us\": " << obs::json_number(scaling.large_p50_us)
+       << ", \"flat_speedup\": " << obs::json_number(scaling.flat_speedup) << "}}\n";
   json.close();
   std::printf("wrote %s\n", out.c_str());
 
@@ -517,6 +596,16 @@ int main(int argc, char** argv) {
                    key.c_str(), mix);
       rc = 1;
     }
+  }
+  // An edit batch must cost O(batch), not O(circuit): a 100x larger circuit
+  // may slow a one-edit batch by at most 4x.
+  if (check && scaling.flat_speedup < 0.25) {
+    std::fprintf(stderr,
+                 "FAIL: one-edit edit_batch is %.1fx slower at %d latches than at %d "
+                 "(flat speedup %.3f below the 0.25 gate)\n",
+                 scaling.large_p50_us / scaling.small_p50_us, scaling.large_latches,
+                 scaling.small_latches, scaling.flat_speedup);
+    rc = 1;
   }
   return rc;
 }

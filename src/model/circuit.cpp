@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <set>
 
 #include "base/strings.h"
 
@@ -196,36 +195,58 @@ graph::Digraph Circuit::latch_graph() const {
   return g;
 }
 
+void Circuit::validate_element(int i, std::vector<std::string>& problems) const {
+  const Element& e = elements_.at(static_cast<size_t>(i));
+  if (e.phase < 1 || e.phase > num_phases_) {
+    problems.push_back("element '" + e.name + "' uses phase " + std::to_string(e.phase) +
+                       " outside 1.." + std::to_string(num_phases_));
+  }
+  if (!std::isfinite(e.setup) || !std::isfinite(e.dq) || !std::isfinite(e.hold) ||
+      !std::isfinite(e.min_dq()) || !std::isfinite(e.skew)) {
+    problems.push_back("element '" + e.name + "' has a non-finite timing parameter");
+    return;  // the sign/ordering checks below are meaningless on NaN
+  }
+  if (e.setup < 0.0) problems.push_back("element '" + e.name + "' has negative setup time");
+  if (e.dq < 0.0) problems.push_back("element '" + e.name + "' has negative Δ_DQ");
+  if (e.hold < 0.0) problems.push_back("element '" + e.name + "' has negative hold time");
+  if (e.skew < 0.0) problems.push_back("element '" + e.name + "' has negative clock skew");
+  if (e.is_latch() && e.dq < e.setup) {
+    problems.push_back("element '" + e.name +
+                       "' violates the paper's assumption Δ_DQ >= Δ_DC (Δ_DQ=" +
+                       fmt_time(e.dq) + ", Δ_DC=" + fmt_time(e.setup) + ")");
+  }
+  if (e.min_dq() > e.dq) {
+    problems.push_back("element '" + e.name + "' has min Δ_DQ greater than max Δ_DQ");
+  }
+}
+
 std::vector<std::string> Circuit::validate() const {
   std::vector<std::string> problems;
   if (num_phases_ < 1) problems.push_back("circuit must have at least one clock phase");
-  for (int i = 0; i < num_elements(); ++i) {
-    const Element& e = elements_[static_cast<size_t>(i)];
-    if (e.phase < 1 || e.phase > num_phases_) {
-      problems.push_back("element '" + e.name + "' uses phase " + std::to_string(e.phase) +
-                         " outside 1.." + std::to_string(num_phases_));
-    }
-    if (!std::isfinite(e.setup) || !std::isfinite(e.dq) || !std::isfinite(e.hold) ||
-        !std::isfinite(e.min_dq()) || !std::isfinite(e.skew)) {
-      problems.push_back("element '" + e.name + "' has a non-finite timing parameter");
-      continue;  // the sign/ordering checks below are meaningless on NaN
-    }
-    if (e.setup < 0.0) problems.push_back("element '" + e.name + "' has negative setup time");
-    if (e.dq < 0.0) problems.push_back("element '" + e.name + "' has negative Δ_DQ");
-    if (e.hold < 0.0) problems.push_back("element '" + e.name + "' has negative hold time");
-    if (e.skew < 0.0) problems.push_back("element '" + e.name + "' has negative clock skew");
-    if (e.is_latch() && e.dq < e.setup) {
-      problems.push_back("element '" + e.name +
-                         "' violates the paper's assumption Δ_DQ >= Δ_DC (Δ_DQ=" +
-                         fmt_time(e.dq) + ", Δ_DC=" + fmt_time(e.setup) + ")");
-    }
-    if (e.min_dq() > e.dq) {
-      problems.push_back("element '" + e.name + "' has min Δ_DQ greater than max Δ_DQ");
+  for (int i = 0; i < num_elements(); ++i) validate_element(i, problems);
+
+  // Parallel paths: a finite path is a duplicate when a lower-numbered
+  // finite path joins the same (from, to) pair. Each fanout list is
+  // ascending, so one stamp pass per source element finds them in O(l + P)
+  // without a per-path set node.
+  const auto finite = [](const CombPath& p) {
+    return std::isfinite(p.delay) && std::isfinite(p.min_delay);
+  };
+  std::vector<char> parallel(paths_.size(), 0);
+  std::vector<int> stamp(elements_.size(), -1);  // stamp[to] == from: pair seen
+  for (int from = 0; from < num_elements(); ++from) {
+    for (const int p : fanout_[static_cast<size_t>(from)]) {
+      const CombPath& path = paths_[static_cast<size_t>(p)];
+      if (!finite(path)) continue;
+      int& seen = stamp[static_cast<size_t>(path.to)];
+      if (seen == from) parallel[static_cast<size_t>(p)] = 1;
+      seen = from;
     }
   }
-  std::set<std::pair<int, int>> seen;
-  for (const CombPath& p : paths_) {
-    if (!std::isfinite(p.delay) || !std::isfinite(p.min_delay)) {
+
+  for (size_t i = 0; i < paths_.size(); ++i) {
+    const CombPath& p = paths_[i];
+    if (!finite(p)) {
       problems.push_back("path '" + p.label + "' has a non-finite delay");
       continue;
     }
@@ -238,7 +259,7 @@ std::vector<std::string> Circuit::validate() const {
     if (p.min_delay > p.delay) {
       problems.push_back("path '" + p.label + "' has min delay greater than max delay");
     }
-    if (!seen.insert({p.from, p.to}).second) {
+    if (parallel[i]) {
       problems.push_back("parallel combinational paths between '" +
                          elements_[static_cast<size_t>(p.from)].name + "' and '" +
                          elements_[static_cast<size_t>(p.to)].name +

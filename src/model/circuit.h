@@ -119,8 +119,14 @@ class Circuit {
   /// Structural validation; returns human-readable problems (empty = OK).
   /// Checks: phases in range, finite and nonnegative parameters, min <= max
   /// delays, the paper's Δ_DQ >= Δ_DC assumption, and duplicate parallel
-  /// paths.
+  /// paths. O(l + P). Problems come in element order, then path order.
   std::vector<std::string> validate() const;
+
+  /// Append element `i`'s problems, exactly as validate() reports them. The
+  /// element checks read nothing but the element and the phase count, so
+  /// re-checking only the elements an edit touched (in ascending order) on
+  /// an otherwise validate()-clean circuit gives validate()'s output.
+  void validate_element(int i, std::vector<std::string>& problems) const;
 
  private:
   std::string name_;

@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -537,13 +538,14 @@ Json TimingService::handle_edit_batch(const Json& req, const Json& id) {
     // applied — the Circuit setters assert on invalid values, and an assert
     // must never be reachable from the wire. Any failure rolls the whole
     // batch back: batches are atomic.
+    EditScope scope;
     for (size_t i = 0; i < edits.size(); ++i) {
       const Json& e = edits.at(i);
       std::string err;
       if (!e.is_object()) {
         err = "edit is not an object";
       } else {
-        err = apply_edit(s, e);
+        err = apply_edit(s, e, scope);
       }
       if (!err.empty()) {
         s.undo_to(mark);
@@ -551,12 +553,27 @@ Json TimingService::handle_edit_batch(const Json& req, const Json& id) {
         return;
       }
     }
-    const std::vector<std::string> problems = s.circuit().validate();
+    // The cross-parameter checks (Δ_DQ >= Δ_DC, min Δ_DQ <= Δ_DQ) can only
+    // be judged on the final state: a batch may pass through invalid
+    // intermediate states. On a validate()-clean starting state, checking
+    // the touched elements in ascending order yields exactly validate()'s
+    // problems, so a batch costs O(batch), not O(circuit).
+    std::vector<std::string> problems;
+    if (scope.full || !entry->validated) {
+      problems = s.circuit().validate();
+    } else {
+      std::sort(scope.elements.begin(), scope.elements.end());
+      scope.elements.erase(std::unique(scope.elements.begin(), scope.elements.end()),
+                           scope.elements.end());
+      for (const int i : scope.elements) s.circuit().validate_element(i, problems);
+    }
     if (!problems.empty()) {
       s.undo_to(mark);
       fail = "batch leaves the circuit invalid: " + join_problems(problems);
       return;
     }
+    entry->validated = true;
+    assert(s.circuit().validate().empty() && "touched-only check missed a problem");
     generation = s.generation();
     result.set("applied", Json(static_cast<long>(edits.size())));
     result.set("mark", Json(static_cast<long>(mark)));
@@ -569,7 +586,8 @@ Json TimingService::handle_edit_batch(const Json& req, const Json& id) {
   return ok_response(id, std::move(result), false);
 }
 
-std::string TimingService::apply_edit(sta::AnalysisSession& s, const Json& e) {
+std::string TimingService::apply_edit(sta::AnalysisSession& s, const Json& e,
+                                     EditScope& scope) {
   const std::string op = e.str_or("op");
   const Circuit& c = s.circuit();
 
@@ -641,6 +659,7 @@ std::string TimingService::apply_edit(sta::AnalysisSession& s, const Json& e) {
     } else {
       s.set_element_hold(i, *v);
     }
+    scope.elements.push_back(i);
   } else if (op == "set_element_dq_min") {
     const int i = element_index(err);
     const std::optional<double> v = err.empty() ? require_num(e, "value", err) : std::nullopt;
@@ -648,6 +667,7 @@ std::string TimingService::apply_edit(sta::AnalysisSession& s, const Json& e) {
     // Raw Element::dq_min semantics: negative means "track dq".
     if (!std::isfinite(*v)) return "value must be finite";
     s.set_element_dq_min(i, *v < 0.0 ? -1.0 : *v);
+    scope.elements.push_back(i);
   } else if (op == "set_schedule") {
     const Json& sched = e.get("schedule");
     Expected<ClockSchedule> parsed =
@@ -674,6 +694,7 @@ std::string TimingService::apply_edit(sta::AnalysisSession& s, const Json& e) {
       return "derating requires an unmodified structure (paths/elements were removed)";
     }
     s.apply_derating(*ds, *ms);
+    scope.full = true;
   } else if (op == "remove_path") {
     const int p = path_index(err);
     if (!err.empty()) return err;
@@ -682,6 +703,7 @@ std::string TimingService::apply_edit(sta::AnalysisSession& s, const Json& e) {
     const int i = element_index(err);
     if (!err.empty()) return err;
     s.remove_element(i);
+    scope.full = true;
   } else {
     return "unknown op \"" + op + "\"";
   }
@@ -929,6 +951,7 @@ Json TimingService::handle_undo(const Json& req, const Json& id) {
       }
       for (long i = 0; i < steps; ++i) s.undo();
     }
+    entry->validated = false;  // the mark may lie inside an earlier batch
     generation = s.generation();
     result.set("mark", Json(static_cast<long>(s.mark())));
     result.set("generation", Json(generation));
@@ -965,7 +988,9 @@ Json TimingService::handle_min(const Json& req, const Json& id) {
       }
     }
     opt::GraphSolveOptions options;
-    options.assume_valid = true;  // edit batches keep the circuit validate()-clean
+    // Known-clean states skip the solver's own validate(); after an undo
+    // the solver checks (and rejects an invalid state with an error).
+    options.assume_valid = entry->validated;
     Expected<opt::GraphSolveResult> solved = opt::minimize_cycle_time_graph(s.circuit(), options);
     if (!solved) {
       fail_kind = to_string(solved.error().kind);

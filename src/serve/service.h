@@ -212,6 +212,13 @@ class TimingService {
     size_t bytes = 0;
     // LRU stamp from clock_ (monotone); only read/written under map_mu_.
     std::uint64_t last_used = 0;
+    // The session's current state is known to be Circuit::validate()-clean.
+    // `load` validates and accepted edit batches stay clean, so edit_batch
+    // only re-checks what a batch touched. An `undo` may land inside an
+    // earlier batch (a batch may pass through invalid intermediate states),
+    // so it clears the flag and the next batch validates in full. Only
+    // read/written under the session lock.
+    bool validated = true;
   };
 
   // -- Verb handlers. Each returns a complete response envelope
@@ -235,11 +242,21 @@ class TimingService {
   /// Dispatch to the verb handler (the body of handle() minus telemetry).
   Json dispatch(const Json& request, const Json& id, const std::string& verb);
 
+  /// What an edit batch must re-check once all its edits are applied: the
+  /// elements its element ops touched, or the whole circuit when an op
+  /// touches every element (derate) or renumbers them (remove_element).
+  /// Path ops need no end-of-batch check: apply_edit keeps every path
+  /// finite, nonnegative and min <= max per op, and no op adds a path.
+  struct EditScope {
+    std::vector<int> elements;
+    bool full = false;
+  };
+
   /// Validate one edit op against the session's EVOLVING state and apply
-  /// it; returns "" on success, a human-readable problem otherwise (the
-  /// Circuit setters assert on invalid values — an assert must never be
-  /// reachable from the wire).
-  static std::string apply_edit(sta::AnalysisSession& s, const Json& e);
+  /// it, recording what it touched in `scope`; returns "" on success, a
+  /// human-readable problem otherwise (the Circuit setters assert on invalid
+  /// values — an assert must never be reachable from the wire).
+  static std::string apply_edit(sta::AnalysisSession& s, const Json& e, EditScope& scope);
 
   /// Look up the session for `key`, bumping its LRU stamp. nullptr = not
   /// loaded (caller renders the not_loaded error).

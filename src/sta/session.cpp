@@ -53,8 +53,8 @@ AnalysisSession::AnalysisSession(Circuit circuit, ClockSchedule schedule,
 
 void AnalysisSession::touch() {
   // Every state-changing applier funnels through here (label edits, which
-  // are timing-neutral and skip touch(), call note_mutation() directly).
-  note_mutation();
+  // are timing-neutral, bump the generation themselves).
+  ++generation_;
   if (report_valid_) {
     report_valid_ = false;
     ++counters_.invalidations;
@@ -62,58 +62,113 @@ void AnalysisSession::touch() {
   }
 }
 
-void AnalysisSession::note_mutation() {
-  ++generation_;
-  fingerprint_generation_ = ~0ull;
+void AnalysisSession::touch_structure() {
+  structural_dirty_ = true;
+  view_.reset();  // edge numbering is stale; analyze() rebuilds
+  early_valid_ = false;
+  fingerprint_stale_ = true;  // indices shifted: every later term moved
+  touch();
+}
+
+// -- Content fingerprint -----------------------------------------------------
+
+namespace {
+
+// splitmix64's finalizer: spreads FNV-1a's weak high bits so that the terms
+// add up without structured carries between items.
+std::uint64_t mix(std::uint64_t z) {
+  z ^= z >> 30;
+  z *= 0xbf58476d1ce4e5b9ull;
+  z ^= z >> 27;
+  z *= 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+}  // namespace
+
+std::uint64_t AnalysisSession::header_term() const {
+  obs::Fnv1a h;
+  h.str(circuit_.name());
+  h.i32(circuit_.num_phases()).i32(circuit_.num_elements()).i32(circuit_.num_paths());
+  return mix(h.digest());
+}
+
+std::uint64_t AnalysisSession::item_term(Item item, int index) const {
+  obs::Fnv1a h;
+  h.i32(static_cast<std::int32_t>(item)).i32(index);  // tag, position
+  switch (item) {
+    case Item::kElement: {
+      const Element& e = circuit_.element(index);
+      h.str(e.name);
+      h.i32(static_cast<std::int32_t>(e.kind));
+      h.i32(e.phase);
+      h.num(e.setup).num(e.hold).num(e.dq).num(e.dq_min).num(e.skew);
+      break;
+    }
+    case Item::kPath: {
+      const CombPath& p = circuit_.path(index);
+      h.i32(p.from).i32(p.to);
+      h.num(p.delay).num(p.min_delay);
+      h.str(p.label);  // labels render in reports, so they are content
+      break;
+    }
+    case Item::kSchedule:
+      h.u64(has_schedule_ ? 1 : 0);
+      if (has_schedule_) {
+        h.num(schedule_.cycle);
+        for (const double s : schedule_.start) h.num(s);
+        for (const double t : schedule_.width) h.num(t);
+      }
+      break;
+  }
+  return mix(h.digest());
 }
 
 std::uint64_t AnalysisSession::content_fingerprint() const {
-  if (fingerprint_generation_ == generation_) return fingerprint_;
-  obs::Fnv1a h;
-  h.str(circuit_.name());
-  h.i32(circuit_.num_phases());
-  h.i32(circuit_.num_elements());
-  for (const Element& e : circuit_.elements()) {
-    h.str(e.name);
-    h.i32(static_cast<std::int32_t>(e.kind));
-    h.i32(e.phase);
-    h.num(e.setup).num(e.hold).num(e.dq).num(e.dq_min).num(e.skew);
-  }
-  h.i32(circuit_.num_paths());
-  for (const CombPath& p : circuit_.paths()) {
-    h.i32(p.from).i32(p.to);
-    h.num(p.delay).num(p.min_delay);
-    h.str(p.label);  // labels render in reports, so they are content
-  }
-  h.u64(has_schedule_ ? 1 : 0);
-  if (has_schedule_) {
-    h.num(schedule_.cycle);
-    for (const double s : schedule_.start) h.num(s);
-    for (const double t : schedule_.width) h.num(t);
-  }
-  fingerprint_ = h.digest();
-  fingerprint_generation_ = generation_;
+  if (!fingerprint_stale_) return fingerprint_;
+  std::uint64_t sum = header_term() + item_term(Item::kSchedule);
+  for (int i = 0; i < circuit_.num_elements(); ++i) sum += item_term(Item::kElement, i);
+  for (int p = 0; p < circuit_.num_paths(); ++p) sum += item_term(Item::kPath, p);
+  fingerprint_ = sum;
+  fingerprint_stale_ = false;
   return fingerprint_;
 }
 
 // -- Appliers (no undo logging) ---------------------------------------------
+// Each retracts the edited item's fingerprint term before the write and
+// restores it after, keeping content_fingerprint() current in O(1).
 
 void AnalysisSession::apply_path_delay(int p, double delay) {
+  retract_term(Item::kPath, p);
   circuit_.set_path_delay(p, delay);
+  restore_term(Item::kPath, p);
   if (view_) view_->set_path_delay(p, delay);
   touch();
 }
 
 void AnalysisSession::apply_path_min_delay(int p, double min_delay) {
+  retract_term(Item::kPath, p);
   circuit_.set_path_min_delay(p, min_delay);
+  restore_term(Item::kPath, p);
   if (view_) view_->set_path_min_delay(p, min_delay);
   early_valid_ = false;
   touch();
 }
 
+void AnalysisSession::apply_path_label(int p, std::string label) {
+  retract_term(Item::kPath, p);
+  circuit_.set_path_label(p, std::move(label));
+  restore_term(Item::kPath, p);
+  // Timing-neutral, so the cached report stays valid — but labels are
+  // rendered content, so the state (and its generation) moved.
+  ++generation_;
+}
+
 void AnalysisSession::apply_element_dq(int i, double dq) {
   Element& e = circuit_.element(i);
+  retract_term(Item::kElement, i);
   e.dq = dq;
+  restore_term(Item::kElement, i);
   if (view_) {
     view_->set_element_dq(i, dq);
     // A tracking dq_min (< 0) resolves to dq, so the short-path constants
@@ -126,33 +181,45 @@ void AnalysisSession::apply_element_dq(int i, double dq) {
 
 void AnalysisSession::apply_element_dq_min(int i, double dq_min) {
   Element& e = circuit_.element(i);
+  retract_term(Item::kElement, i);
   e.dq_min = dq_min;
+  restore_term(Item::kElement, i);
   if (view_) view_->set_element_min_dq(i, e.min_dq());
   early_valid_ = false;
   touch();
 }
 
 void AnalysisSession::apply_element_setup(int i, double setup) {
+  retract_term(Item::kElement, i);
   circuit_.element(i).setup = setup;
+  restore_term(Item::kElement, i);
   if (view_) view_->set_element_setup(i, setup);
   touch();
 }
 
 void AnalysisSession::apply_element_hold(int i, double hold) {
+  retract_term(Item::kElement, i);
   circuit_.element(i).hold = hold;
+  restore_term(Item::kElement, i);
   if (view_) view_->set_element_hold(i, hold);
   touch();
 }
 
 void AnalysisSession::apply_element_skew(int i, double skew) {
+  retract_term(Item::kElement, i);
   circuit_.element(i).skew = skew;
+  restore_term(Item::kElement, i);
   if (view_) view_->set_element_skew(i, skew);
   touch();
 }
 
 void AnalysisSession::apply_schedule(const ClockSchedule& schedule) {
+  // The content (and so the fingerprint) moves even when the timing does
+  // not, so the delta lands before the early return below.
+  retract_term(Item::kSchedule);
   schedule_ = schedule;
   has_schedule_ = true;
+  restore_term(Item::kSchedule);
   if (shifts_) {
     const ShiftDelta delta = shifts_->update(schedule);
     if (!delta.changed) return;  // identical timing: nothing to invalidate
@@ -171,22 +238,14 @@ void AnalysisSession::apply_schedule(const ClockSchedule& schedule) {
 void AnalysisSession::set_path_delay(int p, double delay) {
   const double old = circuit_.path(p).delay;
   if (delay == old) return;
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kPathDelay;
-  rec.index = p;
-  rec.value = old;
-  undo_.push_back(std::move(rec));
+  log_undo(UndoRecord::Kind::kPathDelay, p, old);
   apply_path_delay(p, delay);
 }
 
 void AnalysisSession::set_path_min_delay(int p, double min_delay) {
   const double old = circuit_.path(p).min_delay;
   if (min_delay == old) return;
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kPathMinDelay;
-  rec.index = p;
-  rec.value = old;
-  undo_.push_back(std::move(rec));
+  log_undo(UndoRecord::Kind::kPathMinDelay, p, old);
   apply_path_min_delay(p, min_delay);
 }
 
@@ -204,67 +263,43 @@ void AnalysisSession::set_path_delays(int p, double delay, double min_delay) {
 
 void AnalysisSession::set_path_label(int p, std::string label) {
   if (circuit_.path(p).label == label) return;
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kPathLabel;
-  rec.index = p;
-  rec.label = circuit_.path(p).label;
-  undo_.push_back(std::move(rec));
-  circuit_.set_path_label(p, std::move(label));  // timing-neutral: no touch()
-  note_mutation();  // ...but labels are rendered content: new fingerprint
+  log_undo(UndoRecord::Kind::kPathLabel, p);
+  undo_labels_.push_back(circuit_.path(p).label);
+  apply_path_label(p, std::move(label));
 }
 
 void AnalysisSession::set_element_dq(int i, double dq) {
   const double old = circuit_.element(i).dq;
   if (dq == old) return;
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kElementDq;
-  rec.index = i;
-  rec.value = old;
-  undo_.push_back(std::move(rec));
+  log_undo(UndoRecord::Kind::kElementDq, i, old);
   apply_element_dq(i, dq);
 }
 
 void AnalysisSession::set_element_dq_min(int i, double dq_min) {
   const double old = circuit_.element(i).dq_min;
   if (dq_min == old) return;
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kElementDqMin;
-  rec.index = i;
-  rec.value = old;
-  undo_.push_back(std::move(rec));
+  log_undo(UndoRecord::Kind::kElementDqMin, i, old);
   apply_element_dq_min(i, dq_min);
 }
 
 void AnalysisSession::set_element_setup(int i, double setup) {
   const double old = circuit_.element(i).setup;
   if (setup == old) return;
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kElementSetup;
-  rec.index = i;
-  rec.value = old;
-  undo_.push_back(std::move(rec));
+  log_undo(UndoRecord::Kind::kElementSetup, i, old);
   apply_element_setup(i, setup);
 }
 
 void AnalysisSession::set_element_hold(int i, double hold) {
   const double old = circuit_.element(i).hold;
   if (hold == old) return;
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kElementHold;
-  rec.index = i;
-  rec.value = old;
-  undo_.push_back(std::move(rec));
+  log_undo(UndoRecord::Kind::kElementHold, i, old);
   apply_element_hold(i, hold);
 }
 
 void AnalysisSession::set_element_skew(int i, double skew) {
   const double old = circuit_.element(i).skew;
   if (skew == old) return;
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kElementSkew;
-  rec.index = i;
-  rec.value = old;
-  undo_.push_back(std::move(rec));
+  log_undo(UndoRecord::Kind::kElementSkew, i, old);
   apply_element_skew(i, skew);
 }
 
@@ -273,10 +308,8 @@ void AnalysisSession::set_schedule(const ClockSchedule& schedule) {
       schedule.width == schedule_.width && has_schedule_) {
     return;
   }
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kSchedule;
-  rec.schedule = schedule_;
-  undo_.push_back(std::move(rec));
+  log_undo(UndoRecord::Kind::kSchedule, 0);
+  undo_schedules_.push_back(schedule_);
   apply_schedule(schedule);
 }
 
@@ -314,15 +347,9 @@ void AnalysisSession::apply_derating(double delay_scale, double min_scale) {
 // -- Structural edits --------------------------------------------------------
 
 void AnalysisSession::remove_path(int p) {
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kPathRemoved;
-  rec.index = p;
-  rec.path = circuit_.remove_path(p);
-  undo_.push_back(std::move(rec));
-  structural_dirty_ = true;
-  view_.reset();  // edge numbering is stale; analyze() rebuilds
-  early_valid_ = false;
-  touch();
+  log_undo(UndoRecord::Kind::kPathRemoved, p);
+  undo_paths_.push_back(circuit_.remove_path(p));
+  touch_structure();
 }
 
 void AnalysisSession::remove_element(int i) {
@@ -332,22 +359,28 @@ void AnalysisSession::remove_element(int i) {
   }
   std::sort(incident.begin(), incident.end(), std::greater<int>());
   for (const int p : incident) remove_path(p);
-  UndoRecord rec;
-  rec.kind = UndoRecord::Kind::kElementRemoved;
-  rec.index = i;
-  rec.element = circuit_.remove_element(i);
-  undo_.push_back(std::move(rec));
-  structural_dirty_ = true;
-  view_.reset();
-  early_valid_ = false;
-  touch();
+  log_undo(UndoRecord::Kind::kElementRemoved, i);
+  undo_elements_.push_back(circuit_.remove_element(i));
+  touch_structure();
 }
 
 // -- Undo --------------------------------------------------------------------
 
+namespace {
+
+template <class T>
+T pop(std::vector<T>& stack) {
+  assert(!stack.empty() && "undo side stack out of step with the log");
+  T top = std::move(stack.back());
+  stack.pop_back();
+  return top;
+}
+
+}  // namespace
+
 void AnalysisSession::undo() {
   assert(!undo_.empty() && "undo with an empty log");
-  UndoRecord rec = std::move(undo_.back());
+  const UndoRecord rec = undo_.back();
   undo_.pop_back();
   switch (rec.kind) {
     case UndoRecord::Kind::kPathDelay:
@@ -357,8 +390,7 @@ void AnalysisSession::undo() {
       apply_path_min_delay(rec.index, rec.value);
       break;
     case UndoRecord::Kind::kPathLabel:
-      circuit_.set_path_label(rec.index, std::move(rec.label));
-      note_mutation();
+      apply_path_label(rec.index, pop(undo_labels_));
       break;
     case UndoRecord::Kind::kElementDq:
       apply_element_dq(rec.index, rec.value);
@@ -376,21 +408,15 @@ void AnalysisSession::undo() {
       apply_element_skew(rec.index, rec.value);
       break;
     case UndoRecord::Kind::kSchedule:
-      apply_schedule(rec.schedule);
+      apply_schedule(pop(undo_schedules_));
       break;
     case UndoRecord::Kind::kPathRemoved:
-      circuit_.insert_path(rec.index, std::move(rec.path));
-      structural_dirty_ = true;
-      view_.reset();  // later undos may touch re-inserted indices
-      early_valid_ = false;
-      touch();
+      circuit_.insert_path(rec.index, pop(undo_paths_));
+      touch_structure();  // later undos may touch re-inserted indices
       break;
     case UndoRecord::Kind::kElementRemoved:
-      circuit_.insert_element(rec.index, std::move(rec.element));
-      structural_dirty_ = true;
-      view_.reset();
-      early_valid_ = false;
-      touch();
+      circuit_.insert_element(rec.index, pop(undo_elements_));
+      touch_structure();
       break;
   }
 }

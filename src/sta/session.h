@@ -115,15 +115,30 @@ class AnalysisSession {
   /// it for generation-based cache invalidation.
   std::uint64_t generation() const { return generation_; }
 
-  /// FNV-1a 64 fingerprint of the session's CURRENT content: circuit name,
-  /// phase count, every element parameter and name, every path (endpoints,
-  /// delays, label) and the schedule. Two sessions fingerprint equal iff
-  /// their analyses (and rendered reports) are bit-identical, so the
-  /// fingerprint is a sound content-addressed cache key. Cached per
-  /// generation — repeated calls between edits are O(1).
+  /// 64-bit fingerprint of the session's CURRENT content: circuit name,
+  /// phase count, every element (name, kind, phase, parameters), every path
+  /// (endpoints, delays, label) and the schedule. It is a pure function of
+  /// that content, independent of edit history, so equal content gives an
+  /// equal fingerprint and undo restores the old value exactly; it is the
+  /// serve layer's content-addressed cache key (analyses and rendered
+  /// reports are bit-identical on equal content).
+  ///
+  /// Additive by construction: a header term (name, phase count, element
+  /// and path counts) plus the sum mod 2^64 of one term per item — each
+  /// element, each path and the schedule. A term is a splitmix64 finalizer
+  /// over FNV-1a of (item tag, index, the item's fields), so a swap of two
+  /// paths' delays moves both terms. Parameter edits, label edits and
+  /// schedule swaps keep the sum current by delta (retract the item's old
+  /// term, add its new one): O(1) per edit. Structural edits and their undos
+  /// mark the sum stale; the next read recomputes it in O(l + P) from the
+  /// same term functions.
   std::uint64_t content_fingerprint() const;
 
   // -- Undo log -------------------------------------------------------------
+  // One 16-byte UndoRecord {kind, index, value} per logged mutation; a
+  // scalar edit needs nothing more. The rare heavy payloads (a previous
+  // label, a removed path or element, a previous schedule) sit on LIFO side
+  // stacks, one per payload type, which undo() pops in step with the record.
   size_t mark() const { return undo_.size(); }
   void undo();                  // revert the most recent mutation
   void undo_to(size_t mark);    // revert everything after mark()
@@ -145,27 +160,41 @@ class AnalysisSession {
 
  private:
   struct UndoRecord {
-    enum class Kind {
+    enum class Kind : std::uint8_t {
       kPathDelay,
       kPathMinDelay,
-      kPathLabel,
+      kPathLabel,       // previous label on undo_labels_
       kElementDq,
       kElementDqMin,
       kElementSetup,
       kElementHold,
       kElementSkew,
-      kSchedule,
-      kPathRemoved,
-      kElementRemoved,
+      kSchedule,        // previous schedule on undo_schedules_
+      kPathRemoved,     // removed path on undo_paths_
+      kElementRemoved,  // removed element on undo_elements_
     };
-    Kind kind;
-    int index = 0;           // path/element id (also the re-insert position)
-    double value = 0.0;      // previous scalar value
-    std::string label;       // previous path label
-    CombPath path;           // removed path
-    Element element;         // removed element
-    ClockSchedule schedule;  // previous schedule
+    Kind kind = Kind::kPathDelay;
+    int index = 0;       // path/element id (also the re-insert position)
+    double value = 0.0;  // previous scalar value
   };
+  static_assert(sizeof(UndoRecord) == 16, "undo records stay compact");
+
+  void log_undo(UndoRecord::Kind kind, int index, double value = 0.0) {
+    undo_.push_back(UndoRecord{kind, index, value});
+  }
+
+  // Content-fingerprint terms (see content_fingerprint()).
+  enum class Item { kElement, kPath, kSchedule };
+  std::uint64_t item_term(Item item, int index = 0) const;
+  std::uint64_t header_term() const;
+  // Retract an item's term before mutating it, restore it after; no-ops
+  // while the sum is stale.
+  void retract_term(Item item, int index = 0) {
+    if (!fingerprint_stale_) fingerprint_ -= item_term(item, index);
+  }
+  void restore_term(Item item, int index = 0) {
+    if (!fingerprint_stale_) fingerprint_ += item_term(item, index);
+  }
 
   // Non-logging appliers shared by the setters and undo().
   void apply_path_delay(int p, double delay);
@@ -176,8 +205,9 @@ class AnalysisSession {
   void apply_element_hold(int i, double hold);
   void apply_element_skew(int i, double skew);
   void apply_schedule(const ClockSchedule& schedule);
+  void apply_path_label(int p, std::string label);
   void touch();  // invalidate the cached report (counted once per batch)
-  void note_mutation();  // bump generation(), dirty the content fingerprint
+  void touch_structure();  // structural edit: rebuild the view, refingerprint
 
   /// Allocation-free counterpart of sta::assemble_report for the warm path:
   /// rewrites report_ in place using the exact arithmetic and iteration
@@ -222,11 +252,17 @@ class AnalysisSession {
   bool fixpoint_exact_ = false;
 
   std::vector<UndoRecord> undo_;
+  std::vector<std::string> undo_labels_;
+  std::vector<CombPath> undo_paths_;
+  std::vector<Element> undo_elements_;
+  std::vector<ClockSchedule> undo_schedules_;
   Counters counters_;
 
   std::uint64_t generation_ = 0;
+  // Running content fingerprint; recomputed in full on the next read when
+  // stale (construction, structural edits and their undos).
   mutable std::uint64_t fingerprint_ = 0;
-  mutable std::uint64_t fingerprint_generation_ = ~0ull;  // != 0: recompute
+  mutable bool fingerprint_stale_ = true;
 };
 
 }  // namespace mintc::sta

@@ -5,7 +5,8 @@
 // that analyze() reproduces a fresh sta::check_schedule of the session's
 // current circuit/schedule BIT-identically (departures, slacks, worst-case
 // records), then rewind the whole edit history via undo_to(0) and require
-// the original report again.
+// the original report again. After every step the session's maintained
+// content fingerprint must also equal a fresh session's on the same content.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -46,6 +47,16 @@ void expect_reports_identical(const sta::TimingReport& got, const sta::TimingRep
   ASSERT_EQ(got.worst_hold_element, want.worst_hold_element) << "seed " << seed << " " << leg;
 }
 
+// The delta-maintained fingerprint must be a pure function of content: a
+// fresh session built from copies of the current circuit and schedule
+// computes it from scratch.
+void expect_fingerprint_fresh(const sta::AnalysisSession& session, uint64_t seed,
+                              const char* leg) {
+  const sta::AnalysisSession fresh(session.circuit(), session.schedule(), session.options());
+  ASSERT_EQ(session.content_fingerprint(), fresh.content_fingerprint())
+      << "seed " << seed << " " << leg;
+}
+
 TEST(SessionEquivalence, FuzzCircuitsBitMatchFreshAnalysisAcrossEditFamilies) {
   int compared = 0;
   for (uint64_t seed = 1; seed <= 200; ++seed) {
@@ -61,6 +72,7 @@ TEST(SessionEquivalence, FuzzCircuitsBitMatchFreshAnalysisAcrossEditFamilies) {
     const sta::TimingReport original = session.analyze();  // copy for the undo leg
     expect_reports_identical(original, sta::check_schedule(circuit, relaxed, options), seed,
                              "cold");
+    const std::uint64_t original_fingerprint = session.content_fingerprint();
 
     // 1. Single-delay edit (increase: warm-start eligible).
     const int p = static_cast<int>(seed % static_cast<uint64_t>(circuit.num_paths()));
@@ -69,6 +81,7 @@ TEST(SessionEquivalence, FuzzCircuitsBitMatchFreshAnalysisAcrossEditFamilies) {
         session.analyze(),
         sta::check_schedule(session.circuit(), session.schedule(), options), seed,
         "delay-edit");
+    expect_fingerprint_fresh(session, seed, "delay-edit");
 
     // 2. Schedule slide (shrinking the schedule scales every shift up:
     //    warm; the result must still match a fresh solve exactly).
@@ -77,6 +90,7 @@ TEST(SessionEquivalence, FuzzCircuitsBitMatchFreshAnalysisAcrossEditFamilies) {
         session.analyze(),
         sta::check_schedule(session.circuit(), session.schedule(), options), seed,
         "schedule-slide");
+    expect_fingerprint_fresh(session, seed, "schedule-slide");
 
     // 3. Corner swap: derating composes from the pristine circuit, so the
     //    reference is derate(original) under the slid schedule.
@@ -86,6 +100,7 @@ TEST(SessionEquivalence, FuzzCircuitsBitMatchFreshAnalysisAcrossEditFamilies) {
         sta::check_schedule(sta::derate(circuit, {"slow", 1.05, 0.95}), session.schedule(),
                             options),
         seed, "corner-swap");
+    expect_fingerprint_fresh(session, seed, "corner-swap");
 
     // 4. Structural edit: forces a view rebuild + cold solve.
     const long cold_before = session.counters().cold_fallbacks;
@@ -94,6 +109,7 @@ TEST(SessionEquivalence, FuzzCircuitsBitMatchFreshAnalysisAcrossEditFamilies) {
         session.analyze(),
         sta::check_schedule(session.circuit(), session.schedule(), options), seed,
         "structural");
+    expect_fingerprint_fresh(session, seed, "structural");
     EXPECT_GT(session.counters().cold_fallbacks, cold_before)
         << "seed " << seed << ": structural edit must cold-start";
 
@@ -101,6 +117,8 @@ TEST(SessionEquivalence, FuzzCircuitsBitMatchFreshAnalysisAcrossEditFamilies) {
     //    schedule, and re-analysis must reproduce the first report.
     session.undo_to(0);
     expect_reports_identical(session.analyze(), original, seed, "undo-rewind");
+    expect_fingerprint_fresh(session, seed, "undo-rewind");
+    ASSERT_EQ(session.content_fingerprint(), original_fingerprint) << "seed " << seed;
     ++compared;
   }
   // Most fuzzer draws are feasible; guard against this suite silently

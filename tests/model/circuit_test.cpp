@@ -142,6 +142,34 @@ TEST(CircuitValidate, ParallelPathsFlagged) {
   EXPECT_NE(p[0].find("parallel"), std::string::npos);
 }
 
+TEST(CircuitValidate, DuplicatePairsReportedInPathOrderAroundNonFinitePaths) {
+  // Pins validate()'s exact text and order: element problems first, then one
+  // pass over the paths in index order. A non-finite path is reported as such
+  // and never takes part in the parallel-path pairing, so the finite path
+  // after it on the same element pair is not a duplicate.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Circuit c("dups", 2);
+  c.add_latch("X", 1, 3.0, 2.0);
+  c.add_latch("Y", 2, 1.0, 2.0);
+  c.add_latch("Z", 1, 1.0, 2.0);
+  c.add_path("X", "Y", 5.0, 1.0, "a");
+  c.add_path("Y", "Z", 5.0, 1.0, "b");
+  c.add_path("X", "Y", kInf, 1.0, "nf");
+  c.add_path("Y", "Z", 4.0, 6.0, "b2");
+  c.add_path("X", "Y", 7.0, 1.0, "a2");
+  c.add_path("Z", "Y", kInf, 0.0, "zy_nf");
+  c.add_path("Z", "Y", 3.0, 0.0, "zy");
+  const std::vector<std::string> want = {
+      "element 'X' violates the paper's assumption \u0394_DQ >= \u0394_DC (\u0394_DQ=2, \u0394_DC=3)",
+      "path 'nf' has a non-finite delay",
+      "path 'b2' has min delay greater than max delay",
+      "parallel combinational paths between 'Y' and 'Z' (merge them by taking max/min delays)",
+      "parallel combinational paths between 'X' and 'Y' (merge them by taking max/min delays)",
+      "path 'zy_nf' has a non-finite delay",
+  };
+  EXPECT_EQ(c.validate(), want);
+}
+
 TEST(CircuitValidate, NonFiniteElementParameterFlagged) {
   const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
                         std::numeric_limits<double>::infinity(),

@@ -183,6 +183,115 @@ TEST(ServeService, InvalidEditOpsAreRejectedWithoutAborting) {
   reject(Json(7.0));  // not even an object
 }
 
+// -- End-of-batch validation ---------------------------------------------------
+// A batch is checked on its final state: only the elements it touched (in
+// ascending order, each once) unless it derates or removes an element, which
+// takes a full Circuit::validate(). Either way the text is validate()'s.
+
+Json edit_batch(TimingService& service, std::vector<Json> ops) {
+  Json edits = Json::array();
+  for (Json& op : ops) edits.push(std::move(op));
+  return service.handle(
+      req({{"verb", Json("edit_batch")}, {"circuit", Json("e1")}, {"edits", std::move(edits)}}));
+}
+
+Json element_op(const char* op, long element, double value) {
+  return req({{"op", Json(op)}, {"element", Json(element)}, {"value", Json(value)}});
+}
+
+std::string rejection(const Json& response) {
+  EXPECT_FALSE(response.get("ok").as_bool(true)) << response.dump();
+  return response.get("error").get("message").as_string();
+}
+
+TEST(ServeService, EditBatchRejectsSetupAboveDqWithValidateText) {
+  TimingService service;
+  load_example1(service, "e1");  // L1..L4: setup = dq = 10
+  EXPECT_EQ(rejection(edit_batch(service, {element_op("set_element_setup", 2, 12.5)})),
+            "batch leaves the circuit invalid: element 'L3' violates the paper's assumption "
+            "Δ_DQ >= Δ_DC (Δ_DQ=10, Δ_DC=12.5)");
+  // Touched out of order and twice: reported once each, in element order.
+  EXPECT_EQ(rejection(edit_batch(service, {element_op("set_element_setup", 3, 12.5),
+                                           element_op("set_element_setup", 1, 11.0),
+                                           element_op("set_element_setup", 3, 12.5)})),
+            "batch leaves the circuit invalid: element 'L2' violates the paper's assumption "
+            "Δ_DQ >= Δ_DC (Δ_DQ=10, Δ_DC=11); element 'L4' violates the paper's "
+            "assumption Δ_DQ >= Δ_DC (Δ_DQ=10, Δ_DC=12.5)");
+}
+
+TEST(ServeService, EditBatchRejectsDqMinAboveDq) {
+  TimingService service;
+  load_example1(service, "e1");
+  EXPECT_EQ(rejection(edit_batch(service, {element_op("set_element_dq_min", 0, 11.0)})),
+            "batch leaves the circuit invalid: element 'L1' has min Δ_DQ greater than max "
+            "Δ_DQ");
+}
+
+TEST(ServeService, EditBatchInvalidMidwayButValidAtEndIsAccepted) {
+  TimingService service;
+  load_example1(service, "e1");
+  const Json r = edit_batch(service, {element_op("set_element_setup", 0, 12.0),
+                                      element_op("set_element_dq", 0, 12.0)});
+  EXPECT_TRUE(r.get("ok").as_bool(false)) << r.dump();
+  EXPECT_EQ(r.get("result").get("applied").as_long(0), 2);
+}
+
+TEST(ServeService, EditBatchWithDerateOrRemoveElementValidatesInFull) {
+  TimingService service;
+  load_example1(service, "e1");
+  const Json derate =
+      req({{"op", Json("derate")}, {"delay_scale", Json(1.5)}, {"min_scale", Json(1.0)}});
+  EXPECT_TRUE(edit_batch(service, {derate}).get("ok").as_bool(false));
+  // After the derate every dq is 15: setup 20 on L1 is caught.
+  EXPECT_EQ(rejection(edit_batch(service, {derate, element_op("set_element_setup", 0, 20.0)})),
+            "batch leaves the circuit invalid: element 'L1' violates the paper's assumption "
+            "Δ_DQ >= Δ_DC (Δ_DQ=15, Δ_DC=20)");
+
+  const Json remove = req({{"op", Json("remove_element")}, {"element", Json(3L)}});
+  EXPECT_EQ(rejection(edit_batch(service, {remove, element_op("set_element_setup", 0, 20.0)})),
+            "batch leaves the circuit invalid: element 'L1' violates the paper's assumption "
+            "Δ_DQ >= Δ_DC (Δ_DQ=15, Δ_DC=20)");
+  const Json r = edit_batch(service, {remove});
+  EXPECT_TRUE(r.get("ok").as_bool(false)) << r.dump();
+}
+
+TEST(ServeService, RejectedEditBatchLeavesFingerprintAndMarkUnchanged) {
+  TimingService service;
+  load_example1(service, "e1");
+  EXPECT_TRUE(edit_batch(service, {req({{"op", Json("set_path_delay")},
+                                        {"path", Json(0L)},
+                                        {"delay", Json(55.0)}})})
+                  .get("ok")
+                  .as_bool(false));
+  const Json before = edit_batch(service, {}).get("result");  // empty batch: a read
+  rejection(edit_batch(service, {req({{"op", Json("set_path_delay")},
+                                      {"path", Json(1L)},
+                                      {"delay", Json(60.0)}}),
+                                 element_op("set_element_setup", 1, 30.0)}));
+  const Json after = edit_batch(service, {}).get("result");
+  EXPECT_EQ(after.get("fingerprint").as_string(), before.get("fingerprint").as_string());
+  EXPECT_EQ(after.get("mark").as_long(-1), before.get("mark").as_long(-2));
+  EXPECT_EQ(after.get("mark").as_long(-1), 1);
+}
+
+TEST(ServeService, UndoIntoABatchRevalidatesTheNextBatchInFull) {
+  TimingService service;
+  load_example1(service, "e1");
+  // Valid at the end, invalid after its first edit.
+  EXPECT_TRUE(edit_batch(service, {element_op("set_element_setup", 0, 12.0),
+                                   element_op("set_element_dq", 0, 12.0)})
+                  .get("ok")
+                  .as_bool(false));
+  expect_ok(service, req({{"verb", Json("undo")}, {"circuit", Json("e1")}, {"steps", Json(1L)}}));
+  // L1 now has setup 12 > dq 10. A batch that touches only L2 must still
+  // see it, as must the exact optimizer.
+  EXPECT_EQ(rejection(edit_batch(service, {element_op("set_element_hold", 1, 0.5)})),
+            "batch leaves the circuit invalid: element 'L1' violates the paper's assumption "
+            "Δ_DQ >= Δ_DC (Δ_DQ=10, Δ_DC=12)");
+  expect_error(service, req({{"verb", Json("min")}, {"circuit", Json("e1")}}),
+               "invalid_circuit");
+}
+
 TEST(ServeService, UndoRewindsGenerationsAndContent) {
   TimingService service;
   const std::string fp0 =

@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "circuits/example1.h"
 #include "circuits/gaas.h"
@@ -203,6 +207,153 @@ TEST(AnalysisSession, SetterNoOpsDoNotInvalidate) {
   session.analyze();
   EXPECT_EQ(session.counters().invalidations, 0);
   EXPECT_EQ(session.counters().warm_hits, 1);  // pure cache hit
+}
+
+// -- Content fingerprint ------------------------------------------------------
+
+// Three elements (two latches and a flip-flop) in a loop, built from plain
+// element/path lists so a test can tweak any field before construction.
+Circuit fingerprint_circuit(const std::function<void(std::vector<Element>&,
+                                                     std::vector<CombPath>&)>& tweak = {}) {
+  std::vector<Element> elements(3);
+  elements[0].name = "A";
+  elements[0].phase = 1;
+  elements[0].setup = 1.0;
+  elements[0].dq = 2.0;
+  elements[1].name = "B";
+  elements[1].phase = 2;
+  elements[1].setup = 1.0;
+  elements[1].dq = 2.5;
+  elements[1].hold = 0.5;
+  elements[2].name = "C";
+  elements[2].kind = ElementKind::kFlipFlop;
+  elements[2].phase = 1;
+  elements[2].setup = 0.5;
+  elements[2].dq = 1.5;
+  std::vector<CombPath> paths = {
+      {0, 1, 10.0, 2.0, "f"}, {1, 2, 20.0, 4.0, "g"}, {2, 0, 10.0, 1.0, "h"}};
+  if (tweak) tweak(elements, paths);
+  Circuit c("fp", 2);
+  for (const Element& e : elements) c.add_element(e);
+  for (const CombPath& p : paths) c.add_path(p.from, p.to, p.delay, p.min_delay, p.label);
+  return c;
+}
+
+std::uint64_t fingerprint_of(const Circuit& c, const ClockSchedule& s) {
+  return AnalysisSession(c, s).content_fingerprint();
+}
+
+TEST(AnalysisSessionFingerprint, IndependentOfEditHistory) {
+  const Fixture f(circuits::gaas_datapath());
+  AnalysisSession a(f.circuit, f.schedule, f.options);
+  AnalysisSession b(f.circuit, f.schedule, f.options);
+  const std::uint64_t start = a.content_fingerprint();
+  EXPECT_EQ(b.content_fingerprint(), start);
+
+  // The same edits in two orders.
+  const double d1 = f.circuit.path(1).delay + 0.5;
+  const double dq0 = f.circuit.element(0).dq + 0.25;
+  a.set_path_delay(1, d1);
+  a.set_element_dq(0, dq0);
+  a.set_path_label(2, "renamed");
+  b.set_path_label(2, "renamed");
+  b.set_element_dq(0, dq0);
+  b.set_path_delay(1, d1);
+  EXPECT_NE(a.content_fingerprint(), start);
+  EXPECT_EQ(a.content_fingerprint(), b.content_fingerprint());
+
+  // Edit then undo.
+  a.undo_to(0);
+  EXPECT_EQ(a.content_fingerprint(), start);
+
+  // Structural edits and their undos.
+  a.remove_path(2);
+  EXPECT_NE(a.content_fingerprint(), start);
+  a.undo();
+  EXPECT_EQ(a.content_fingerprint(), start);
+  a.remove_element(0);
+  EXPECT_NE(a.content_fingerprint(), start);
+  a.undo_to(0);
+  EXPECT_EQ(a.content_fingerprint(), start);
+
+  // An edited session — with scalar edits both before and after a pending
+  // structural recompute — equals a fresh session on copies of its content.
+  a.set_element_skew(1, 0.125);
+  a.set_schedule(f.schedule.scaled(1.1));
+  a.remove_path(0);
+  a.set_path_min_delay(0, 0.0);
+  a.set_element_hold(2, 0.75);
+  (void)a.content_fingerprint();
+  a.set_path_delay(1, a.circuit().path(1).delay + 1.0);
+  a.set_element_setup(0, 0.0);
+  a.set_element_dq_min(1, 0.5);
+  const AnalysisSession fresh(Circuit(a.circuit()), ClockSchedule(a.schedule()), f.options);
+  EXPECT_EQ(a.content_fingerprint(), fresh.content_fingerprint());
+}
+
+TEST(AnalysisSessionFingerprint, SeesEveryField) {
+  const Circuit base = fingerprint_circuit();
+  const ClockSchedule schedule(40.0, {0.0, 20.0}, {15.0, 15.0});
+  const std::uint64_t want = fingerprint_of(base, schedule);
+  EXPECT_EQ(fingerprint_of(fingerprint_circuit(), schedule), want);
+
+  using Tweak = std::function<void(std::vector<Element>&, std::vector<CombPath>&)>;
+  const std::vector<std::pair<const char*, Tweak>> tweaks = {
+      {"element name", [](auto& e, auto&) { e[1].name = "B2"; }},
+      {"element kind", [](auto& e, auto&) { e[1].kind = ElementKind::kFlipFlop; }},
+      {"element phase", [](auto& e, auto&) { e[1].phase = 1; }},
+      {"element setup", [](auto& e, auto&) { e[1].setup = 1.25; }},
+      {"element dq", [](auto& e, auto&) { e[1].dq = 3.0; }},
+      {"element hold", [](auto& e, auto&) { e[1].hold = 0.25; }},
+      {"element dq_min", [](auto& e, auto&) { e[1].dq_min = 1.0; }},
+      {"element skew", [](auto& e, auto&) { e[1].skew = 0.1; }},
+      {"path from", [](auto&, auto& p) { p[1].from = 0; }},
+      {"path to", [](auto&, auto& p) { p[1].to = 0; }},
+      {"path delay", [](auto&, auto& p) { p[1].delay = 21.0; }},
+      {"path min delay", [](auto&, auto& p) { p[1].min_delay = 3.0; }},
+      {"path label", [](auto&, auto& p) { p[1].label = "g2"; }},
+      {"swapped path delays", [](auto&, auto& p) { std::swap(p[0].delay, p[1].delay); }},
+  };
+  for (const auto& [what, tweak] : tweaks) {
+    EXPECT_NE(fingerprint_of(fingerprint_circuit(tweak), schedule), want) << what;
+  }
+  EXPECT_NE(fingerprint_of(base, ClockSchedule(41.0, {0.0, 20.0}, {15.0, 15.0})), want)
+      << "schedule cycle";
+  EXPECT_NE(fingerprint_of(base, ClockSchedule(40.0, {0.0, 21.0}, {15.0, 15.0})), want)
+      << "schedule start";
+  EXPECT_NE(fingerprint_of(base, ClockSchedule(40.0, {0.0, 20.0}, {15.0, 14.0})), want)
+      << "schedule width";
+  EXPECT_NE(AnalysisSession(base).content_fingerprint(), want) << "no schedule";
+  EXPECT_NE(fingerprint_of(Circuit("other", 2), schedule),
+            fingerprint_of(Circuit("fp", 2), schedule))
+      << "circuit name";
+
+  // Every setter's O(1) delta lands where a fresh computation does.
+  AnalysisSession s(base, schedule);
+  (void)s.content_fingerprint();  // start from a maintained (not stale) sum
+  const auto expect_fresh = [&](const char* what) {
+    EXPECT_EQ(s.content_fingerprint(), fingerprint_of(s.circuit(), s.schedule())) << what;
+  };
+  s.set_element_setup(1, 1.25);
+  expect_fresh("set_element_setup");
+  s.set_element_dq(1, 3.0);
+  expect_fresh("set_element_dq");
+  s.set_element_hold(1, 0.25);
+  expect_fresh("set_element_hold");
+  s.set_element_dq_min(1, 1.0);
+  expect_fresh("set_element_dq_min");
+  s.set_element_skew(1, 0.1);
+  expect_fresh("set_element_skew");
+  s.set_path_delay(1, 21.0);
+  expect_fresh("set_path_delay");
+  s.set_path_min_delay(1, 3.0);
+  expect_fresh("set_path_min_delay");
+  s.set_path_label(1, "g2");
+  expect_fresh("set_path_label");
+  s.set_schedule(ClockSchedule(41.0, {0.0, 20.0}, {15.0, 15.0}));
+  expect_fresh("set_schedule");
+  s.undo_to(0);
+  EXPECT_EQ(s.content_fingerprint(), want) << "undo_to(0)";
 }
 
 }  // namespace
