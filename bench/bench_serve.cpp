@@ -323,9 +323,12 @@ void build_cases(std::vector<BenchCase>& cases,
 ///   full  — telemetry on, the sampling profiler running at 2ms AND every
 ///           request opting into the "cost" echo: the everything-on
 ///           diagnostic posture.
-/// Reps alternate lanes so clock drift and thermal state hit all sides
-/// equally, and each side keeps its MINIMUM per-rep p50 (the least-noisy
-/// estimate of intrinsic cost). Gates: the request-mix p50 sum of "on" AND
+/// Lanes interleave request by request — each iteration sends one request
+/// to every lane, rotating which lane goes first — so clock drift, thermal
+/// state and noisy neighbours hit all sides equally instead of landing on
+/// whichever lane's block of requests they happen to overlap. Each side
+/// keeps its MINIMUM per-rep p50 (the least-noisy estimate of intrinsic
+/// cost). Gates: the request-mix p50 sum of "on" AND
 /// of "full" must each be within 5% of "off". Emits BENCH_overhead.json
 /// (--out overrides) with the gated off/on and off/full ratios so
 /// bench_compare can watch them against the committed baseline.
@@ -373,10 +376,21 @@ int run_overhead_check(bool small, const std::string& out) {
     CaseRow row;
     row.spec = &spec;
     const std::string full_request = with_cost(spec.request);
+    serve::TimingService* const services[3] = {&off_service, &on_service, &full_service};
+    const std::string* const requests[3] = {&spec.request, &spec.request, &full_request};
     for (int rep = 0; rep < reps; ++rep) {
-      const double off_p50 = run_lane(off_service, spec.request, iters).latency.p50;
-      const double on_p50 = run_lane(on_service, spec.request, iters).latency.p50;
-      const double full_p50 = run_lane(full_service, full_request, iters).latency.p50;
+      std::vector<double> us[3];
+      for (int i = 0; i < iters; ++i) {
+        for (int k = 0; k < 3; ++k) {
+          const int lane = (i + k) % 3;
+          const double start = now_seconds();
+          (void)services[lane]->handle_line(*requests[lane]);
+          us[lane].push_back((now_seconds() - start) * 1e6);
+        }
+      }
+      const double off_p50 = percentiles_us(us[0]).p50;
+      const double on_p50 = percentiles_us(us[1]).p50;
+      const double full_p50 = percentiles_us(us[2]).p50;
       if (rep == 0 || off_p50 < row.off) row.off = off_p50;
       if (rep == 0 || on_p50 < row.on) row.on = on_p50;
       if (rep == 0 || full_p50 < row.full) row.full = full_p50;

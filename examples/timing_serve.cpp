@@ -57,8 +57,7 @@ void on_signal(int) { g_stop = 1; }
 int usage() {
   std::printf(
       "usage: timing_serve [--unix <path>] [--port <p>] [--threads <N>]\n"
-      "                    [--cache-mb <M>] [--session-mb <M>]\n"
-      "                    [--analyze-threads <N>] [--max-frame-mb <M>]\n"
+      "                    [--cache-mb <M>] [--session-mb <M>] [--max-frame-mb <M>]\n"
       "                    [--stop-after <sec>] [--metrics-out <file>]\n"
       "                    [--prom-out <file>] [--prom-interval <sec>]\n"
       "                    [--trace-out <file>] [--trace-buffer <N>]\n"
@@ -100,8 +99,6 @@ int main(int argc, char** argv) {
       service_config.cache_bytes = static_cast<size_t>(std::atol(argv[++i])) << 20;
     } else if (arg == "--session-mb" && has_value) {
       service_config.session_bytes = static_cast<size_t>(std::atol(argv[++i])) << 20;
-    } else if (arg == "--analyze-threads" && has_value) {
-      service_config.analyze_threads = std::atoi(argv[++i]);
     } else if (arg == "--max-frame-mb" && has_value) {
       service_config.max_frame_bytes = static_cast<size_t>(std::atol(argv[++i])) << 20;
       server_config.max_frame_bytes = service_config.max_frame_bytes;

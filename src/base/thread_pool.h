@@ -1,16 +1,14 @@
-// Small work-stealing thread pool for the parallel fixpoint engine.
+// Small work-stealing thread pool. The socket server (serve/server.h) runs
+// every request line on it, one task per request.
 //
 // Design goals, in order:
-//   1. Determinism support: the pool runs opaque tasks and never reorders a
-//      task's side effects — all determinism arguments live in the scheduler
-//      built on top (sta/parallel_fixpoint.cpp), which only submits a task
-//      once its data dependencies are fully resolved.
-//   2. Nested submission: a running task may submit follow-up tasks (the
-//      SCC scheduler releases successors as predecessor counts hit zero).
+//   1. Opaque tasks: the pool never reorders a task's side effects; any
+//      ordering a caller needs is the caller's to enforce.
+//   2. Nested submission: a running task may submit follow-up tasks.
 //      wait() accounts for those transitively via a single pending counter.
 //   3. Small and auditable over fast: per-worker mutex-protected deques with
 //      LIFO pop / FIFO steal. At the granularity this repo schedules
-//      (one task per SCC shard, microseconds to milliseconds each) the
+//      (one task per request, microseconds to milliseconds each) the
 //      mutex cost is noise; lock-free deques would buy nothing but risk.
 //
 // Workers pop from the back of their own deque (cache-warm, depth-first on
@@ -98,7 +96,7 @@ class ThreadPool {
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
   /// Total tasks a worker took from a deque other than its own.
-  /// Observability only — exposed through obs metrics by the scheduler.
+  /// Observability only — exported as the serve layer's pool.steals gauge.
   std::int64_t steal_count() const { return steals_.load(std::memory_order_relaxed); }
 
   /// Total tasks executed since construction.

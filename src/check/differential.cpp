@@ -10,7 +10,6 @@
 #include "sim/token_sim.h"
 #include "sta/analysis.h"
 #include "sta/fixpoint.h"
-#include "sta/parallel_fixpoint.h"
 #include "sta/session.h"
 
 namespace mintc::check {
@@ -20,10 +19,8 @@ const char* to_string(CheckKind kind) {
     case CheckKind::kSolverAgreement: return "solver-agreement";
     case CheckKind::kP1Satisfaction: return "p1-satisfaction";
     case CheckKind::kSchemeAgreement: return "scheme-agreement";
-    case CheckKind::kIncrementalAgreement: return "incremental-agreement";
     case CheckKind::kSimAgreement: return "sim-agreement";
     case CheckKind::kSessionAgreement: return "session-agreement";
-    case CheckKind::kParallelAgreement: return "parallel-agreement";
     case CheckKind::kSkewAgreement: return "skew-agreement";
   }
   return "?";
@@ -197,36 +194,6 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
     }
   }
 
-  // Engine 3b, parallel leg: the SCC-parallel engine must be BITWISE equal
-  // to the scalar kSccOrdered scheme on a convergent solve — not within
-  // departure_tol, exactly (that is its documented contract; see
-  // parallel_fixpoint.h). Run it at a couple of thread counts so both the
-  // single-worker and genuinely concurrent schedules are exercised.
-  {
-    sta::FixpointOptions fo;
-    fo.scheme = sta::UpdateScheme::kSccOrdered;
-    const sta::FixpointResult scalar_ref =
-        sta::compute_departures(view, opt_shifts, zeros(circuit), fo);
-    for (const int threads : {1, 4}) {
-      sta::ParallelFixpointOptions po;
-      po.num_threads = threads;
-      po.fixpoint = fo;
-      const sta::FixpointResult par =
-          sta::compute_departures_parallel(view, opt_shifts, zeros(circuit), po);
-      if (par.converged != scalar_ref.converged) {
-        fail(CheckKind::kParallelAgreement,
-             "parallel(" + std::to_string(threads) + ") " + flag_string(par) +
-                 " but scc-ordered " + flag_string(scalar_ref));
-      } else if (scalar_ref.converged && par.departure != scalar_ref.departure) {
-        const VecDiff d = max_abs_diff(par.departure, scalar_ref.departure);
-        fail(CheckKind::kParallelAgreement,
-             "parallel(" + std::to_string(threads) + ") departures not bitwise equal: off by " +
-                 fmt_time(d.amount, 12) + " at element '" +
-                 circuit.element(d.element).name + "'");
-      }
-    }
-  }
-
   // The token simulator re-derives the same steady state dynamically.
   // Simulate slightly above the optimum (as the sim tests do) so zero-slack
   // loops do not stretch the generation count.
@@ -251,68 +218,48 @@ DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
     }
   }
 
-  // Incremental re-analysis vs from-scratch after a random perturbation,
-  // at a relaxed schedule. With slack_factor > 1 + max_perturb every loop
-  // keeps strictly negative gain (a path's delay is at most its loop's sum,
-  // which the optimal Tc covers), so both routes must stay convergent.
+  // Session re-analysis after a random single-path perturbation, at a
+  // relaxed schedule: cold, warm after the edit (an increase warm-starts, a
+  // decrease falls back to a cold solve), cold again after the undo — each
+  // leg bit-identical to a fresh check_schedule of the corresponding
+  // circuit. With slack_factor > 1 + max_perturb every loop keeps strictly
+  // negative gain (a path's delay is at most its loop's sum, which the
+  // optimal Tc covers), so every leg stays convergent.
   if (circuit.num_paths() > 0) {
     std::mt19937_64 rng(rng_seed);
     std::uniform_int_distribution<int> pick_path(0, circuit.num_paths() - 1);
     std::uniform_real_distribution<double> magnitude(0.05, options.max_perturb);
     const int p = pick_path(rng);
     const ClockSchedule relaxed = lp->schedule.scaled(options.slack_factor);
-    const sta::FixpointResult before =
-        sta::compute_departures(view, ShiftTable(relaxed), zeros(circuit));
-    if (before.converged) {
-      Circuit mutated = circuit;
-      const double old_delay = circuit.path(p).delay;
-      const double delta = magnitude(rng) * std::max(old_delay, 1.0);
-      const bool increase = (rng() & 1) != 0;
-      const double new_delay =
-          increase ? old_delay + delta
-                   : std::max(circuit.path(p).min_delay, old_delay - delta);
-      mutated.set_path_delay(p, new_delay);
-      const sta::FixpointResult inc =
-          sta::incremental_update(mutated, relaxed, before.departure, p, old_delay);
-      const sta::FixpointResult full = sta::compute_departures(mutated, relaxed, zeros(mutated));
-      const std::string what = "path " + circuit.element(circuit.path(p).from).name + "->" +
-                               circuit.element(circuit.path(p).to).name + " delay " +
-                               fmt_time(old_delay, 6) + " -> " + fmt_time(new_delay, 6);
-      if (inc.converged != full.converged || inc.diverged != full.diverged) {
-        fail(CheckKind::kIncrementalAgreement,
-             what + ": incremental " + flag_string(inc) + " but from-scratch " +
-                 flag_string(full));
-      } else if (inc.converged) {
-        const VecDiff d = max_abs_diff(inc.departure, full.departure);
-        if (d.amount > options.departure_tol) {
-          fail(CheckKind::kIncrementalAgreement,
-               what + ": departures differ by " + fmt_time(d.amount, 9) + " at element '" +
-                   circuit.element(d.element).name + "'");
-        }
-      }
-
-      // The same perturbation driven through an AnalysisSession: cold, warm
-      // after the edit, cold again after the undo — each leg bit-identical
-      // to a fresh check_schedule of the corresponding circuit.
-      sta::AnalysisOptions an;
-      an.check_hold = true;
-      sta::AnalysisSession session(circuit, relaxed, an);
-      std::string diff =
-          diff_reports(session.analyze(), sta::check_schedule(circuit, relaxed, an));
-      if (!diff.empty()) {
-        fail(CheckKind::kSessionAgreement, what + ": cold session: " + diff);
-      }
-      const size_t mark = session.mark();
-      session.set_path_delay(p, new_delay);
-      diff = diff_reports(session.analyze(), sta::check_schedule(mutated, relaxed, an));
-      if (!diff.empty()) {
-        fail(CheckKind::kSessionAgreement, what + ": session after edit: " + diff);
-      }
-      session.undo_to(mark);
-      diff = diff_reports(session.analyze(), sta::check_schedule(circuit, relaxed, an));
-      if (!diff.empty()) {
-        fail(CheckKind::kSessionAgreement, what + ": session after undo: " + diff);
-      }
+    Circuit mutated = circuit;
+    const double old_delay = circuit.path(p).delay;
+    const double delta = magnitude(rng) * std::max(old_delay, 1.0);
+    const bool increase = (rng() & 1) != 0;
+    const double new_delay =
+        increase ? old_delay + delta
+                 : std::max(circuit.path(p).min_delay, old_delay - delta);
+    mutated.set_path_delay(p, new_delay);
+    const std::string what = "path " + circuit.element(circuit.path(p).from).name + "->" +
+                             circuit.element(circuit.path(p).to).name + " delay " +
+                             fmt_time(old_delay, 6) + " -> " + fmt_time(new_delay, 6);
+    sta::AnalysisOptions an;
+    an.check_hold = true;
+    sta::AnalysisSession session(circuit, relaxed, an);
+    std::string diff =
+        diff_reports(session.analyze(), sta::check_schedule(circuit, relaxed, an));
+    if (!diff.empty()) {
+      fail(CheckKind::kSessionAgreement, what + ": cold session: " + diff);
+    }
+    const size_t mark = session.mark();
+    session.set_path_delay(p, new_delay);
+    diff = diff_reports(session.analyze(), sta::check_schedule(mutated, relaxed, an));
+    if (!diff.empty()) {
+      fail(CheckKind::kSessionAgreement, what + ": session after edit: " + diff);
+    }
+    session.undo_to(mark);
+    diff = diff_reports(session.analyze(), sta::check_schedule(circuit, relaxed, an));
+    if (!diff.empty()) {
+      fail(CheckKind::kSessionAgreement, what + ": session after undo: " + diff);
     }
   }
 

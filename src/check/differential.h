@@ -13,10 +13,9 @@
 //   * each engine's (schedule, departures) satisfies the nonlinear problem
 //     P1 exactly,
 //   * all four UpdateSchemes converge to the same least fixpoint,
-//   * incremental_update after a random delay perturbation matches a
-//     from-scratch solve,
-//   * an sta::AnalysisSession driven through the same perturbation (and its
-//     undo) reproduces fresh check_schedule reports BIT-identically, and
+//   * an sta::AnalysisSession driven through a random delay perturbation
+//     (cold, warm after the edit, then its undo) reproduces fresh
+//     check_schedule reports BIT-identically,
 //   * the token simulator's steady state matches the analytic fixpoint, and
 //   * the whole matrix holds again under deterministic random per-latch
 //     clock skews, reached both by construction and by AnalysisSession
@@ -39,10 +38,8 @@ enum class CheckKind {
   kSolverAgreement,       // simplex Tc* vs graph-solver Tc* (or error kinds)
   kP1Satisfaction,        // an engine's (schedule, departures) violates P1
   kSchemeAgreement,       // the four UpdateSchemes disagree on the fixpoint
-  kIncrementalAgreement,  // incremental_update != from-scratch recompute
   kSimAgreement,          // token-sim steady state != analytic fixpoint
   kSessionAgreement,      // AnalysisSession warm/undo != fresh check_schedule
-  kParallelAgreement,     // ParallelFixpoint != scalar kSccOrdered bitwise
   kSkewAgreement,         // engines disagree under random per-latch skews
 };
 
@@ -65,7 +62,7 @@ struct DifferentialOptions {
   double slack_factor = 1.25;
   /// Relative size of the random delay perturbation. Must stay below
   /// slack_factor - 1 - margin or an increase on a tight loop could
-  /// legitimately diverge incrementally (see differential.cpp).
+  /// legitimately diverge (see differential.cpp).
   double max_perturb = 0.2;
   bool check_simulation = true;
   int sim_max_generations = 1024;
@@ -94,7 +91,7 @@ struct DifferentialReport {
 };
 
 /// Run every cross-engine check on one circuit. `rng_seed` drives the
-/// random delay perturbation of the incremental check; the same seed always
+/// random delay perturbation of the session check; the same seed always
 /// perturbs the same path by the same amount.
 DifferentialReport check_circuit(const Circuit& circuit, uint64_t rng_seed,
                                  const DifferentialOptions& options = {});

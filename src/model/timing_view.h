@@ -50,8 +50,7 @@ namespace mintc {
 /// can push the total fan-in slot count past 2^31, and the old `int` offsets
 /// silently wrapped there (UB on the accumulating counter, garbage CSR
 /// afterwards). Node ids stay `int` — element counts are bounded far below
-/// edge counts — and per-edge payload arrays keep 32-bit node entries so the
-/// SIMD kernels can gather with compact indices.
+/// edge counts — and per-edge payload arrays keep 32-bit node entries.
 using EdgeIndex = std::int64_t;
 // EngineStats and StageTimer moved to obs/stats.h (the observability layer
 // is now the single accounting path); included above so existing users of
@@ -103,10 +102,6 @@ class ShiftTable {
     assert(phase >= 1 && phase <= k_ && "phase out of range (phases are 1-based)");
     return width_[static_cast<size_t>(phase - 1)];
   }
-
-  /// Raw S_ij matrix (k*k, row-major by 1-based source phase) for the
-  /// vectorized kernels, which gather shifts by edge_shift index.
-  const double* shift_data() const { return shift_.data(); }
 
  private:
   int k_ = 0;
@@ -185,14 +180,6 @@ class TimingView {
   int edge_shift(EdgeIndex e) const { return shift_index_[static_cast<size_t>(e)]; }
   /// C_{p_from, p_to} (eq. 1): 1 if the edge crosses a cycle boundary.
   int edge_cross(EdgeIndex e) const { return cross_[static_cast<size_t>(e)]; }
-
-  // -- Raw per-edge arrays for the vectorized kernels -----------------------
-  // Contiguous, fan-in-CSR-ordered; a kernel relaxing element i reads the
-  // run [fanin_begin(i), fanin_end(i)) of each. Source ids and shift indices
-  // stay 32-bit so AVX2 gathers use compact index vectors.
-  const int* edge_src_data() const { return src_.data(); }
-  const double* edge_max_const_data() const { return max_const_.data(); }
-  const int* edge_shift_data() const { return shift_index_.data(); }
 
   // -- Fan-out CSR ----------------------------------------------------------
   // Entries are edge ids (usable with edge_* above) leaving element i, in

@@ -135,8 +135,8 @@ std::string request_span_args(const std::string& verb, const Json& req) {
 
 /// Render the events belonging to `trace_id` (0 = all) as an indented tree
 /// with per-span durations — the slow-request log body. B/E matching is
-/// per-tid: fixpoint shards record on worker threads and interleave in
-/// buffer order.
+/// per-tid: concurrent requests record on their own worker threads and
+/// interleave in buffer order.
 std::string span_tree_text(const std::vector<obs::TraceEvent>& events,
                            std::uint64_t trace_id) {
   struct Node {
@@ -279,17 +279,16 @@ Json TimingService::handle(const Json& request) {
   }
   const bool traced = config_.telemetry && trace->context.active();
 
-  // Install the request's context for the handler's whole extent — the
-  // session solve, and (by value-capture + TraceContextScope in
-  // parallel_fixpoint) every fixpoint shard it forks. Inactive context when
-  // untraced: installing is two thread-local writes.
+  // Install the request's context for the handler's whole extent, session
+  // solve included. Inactive context when untraced: installing is two
+  // thread-local writes.
   //
   // Cost attribution rides the same context but independently of sampling:
   // when telemetry is on, EVERY request carries an account, so the
   // serve.cpu_us / serve.relaxations histograms and the audit log see full
   // traffic, not just the sampled slice. The account lives on this stack
-  // frame; forked fixpoint shards are joined before dispatch returns, so the
-  // pointer never outlives it.
+  // frame, and every solve runs on this thread, so the pointer never
+  // outlives it.
   obs::CostAccount account;
   obs::TraceContext context = traced ? trace->context : obs::TraceContext{};
   if (config_.telemetry) context.cost = &account;
@@ -306,9 +305,8 @@ Json TimingService::handle(const Json& request) {
 
   Json response;
   {
-    // The handler thread charges its own CPU slice (parse/render/cache and
-    // any scalar solve); pool shards charge theirs in run_chain. The two
-    // never overlap — ThreadPool::wait() blocks, it does not help-execute.
+    // The handler thread charges its own CPU slice: parse, render, cache
+    // and every solve.
     const obs::ThreadCpuTimer cpu_timer(config_.telemetry ? &account : nullptr);
     response = dispatch(request, id, verb);
   }
@@ -494,7 +492,6 @@ Json TimingService::handle_load(const Json& req, const Json& id) {
 
   sta::AnalysisOptions options;
   options.check_hold = true;
-  options.num_threads = config_.analyze_threads;
   const size_t bytes = estimate_session_bytes(*circuit);
   auto session = std::make_unique<sta::SharedSession>(std::move(*circuit), schedule, options);
 

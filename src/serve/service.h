@@ -45,17 +45,17 @@
 //
 // Cost attribution: when telemetry is on, every request carries an
 // obs::CostAccount through the thread-local TraceContext — the handler
-// thread and every fixpoint shard charge their CPU slices, and the engines
-// charge relaxations/sweeps at solve completion. The totals feed the
-// serve.cpu_us / serve.relaxations histograms, the audit log and the slow
-// log; a request with "cost": true gets them echoed as a response-envelope
+// thread charges its CPU slice, and the engines charge relaxations/sweeps
+// at solve completion. The totals feed the serve.cpu_us /
+// serve.relaxations histograms, the audit log and the slow log; a request
+// with "cost": true gets them echoed as a response-envelope
 // "cost" block (never inside result — cached payloads stay byte-identical
 // whether or not attribution is requested).
 //
 // Telemetry: every request may carry an optional "trace" field (see
 // protocol.h) — a sampled trace id turns recording ON for exactly this
-// request's thread (and the fixpoint shards it forks, which propagate the
-// context), tags every span with the id, and echoes the id in the response.
+// request's thread, tags every span with the id, and echoes the id in the
+// response.
 // ServiceConfig.telemetry kills the whole request-path telemetry
 // (spans/metrics/trace activation) for overhead measurement;
 // slow_request_us triggers a structured warning log carrying the request's
@@ -101,8 +101,6 @@ struct ServiceConfig {
   size_t cache_bytes = 64u << 20;
   /// Session-pool byte budget (estimated bytes of warm sessions kept).
   size_t session_bytes = 256u << 20;
-  /// AnalysisOptions::num_threads for solves (0 = scalar engine).
-  int analyze_threads = 0;
   /// Per-frame size cap enforced on handle_line input.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Hard cap on `sweep` steps per request.

@@ -1,7 +1,5 @@
 #include "sta/analysis.h"
 
-#include "sta/parallel_fixpoint.h"
-
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -86,16 +84,8 @@ TimingReport check_schedule(const Circuit& circuit, const ClockSchedule& schedul
   const int l = circuit.num_elements();
 
   // Departure fixpoint from below (analysis direction).
-  std::vector<double> zeros(static_cast<size_t>(l), 0.0);
-  FixpointResult fixpoint;
-  if (options.num_threads >= 1) {
-    ParallelFixpointOptions popt;
-    popt.num_threads = options.num_threads;
-    popt.fixpoint = options.fixpoint;
-    fixpoint = compute_departures_parallel(view, shifts, std::move(zeros), popt);
-  } else {
-    fixpoint = compute_departures(view, shifts, std::move(zeros), options.fixpoint);
-  }
+  FixpointResult fixpoint = compute_departures(
+      view, shifts, std::vector<double>(static_cast<size_t>(l), 0.0), options.fixpoint);
 
   TimingReport rep =
       assemble_report(circuit, schedule, view, shifts, options, std::move(fixpoint));

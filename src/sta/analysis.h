@@ -30,14 +30,6 @@ struct AnalysisOptions {
   /// Attach a constraint-provenance report (arg-max edges, tight
   /// constraints, named critical chain) to the TimingReport.
   bool provenance = false;
-  /// Engine choice for the departure fixpoint. 0 keeps the scalar scheme
-  /// selected by fixpoint.scheme; >= 1 routes the solve through the
-  /// sta::ParallelFixpoint engine (SCC-parallel, SIMD-dispatched) with that
-  /// many worker threads. Convergent results are bit-identical either way
-  /// (see parallel_fixpoint.h), so this is purely a performance knob —
-  /// check_schedule, AnalysisSession cold solves and the timing_tool
-  /// --threads flag all honor it.
-  int num_threads = 0;
   double eps = 1e-7;
 };
 

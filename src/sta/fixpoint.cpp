@@ -373,85 +373,6 @@ FixpointResult warm_departures(const TimingView& view, const ShiftTable& shifts,
   return res;
 }
 
-FixpointResult incremental_update(const Circuit& circuit, const ClockSchedule& schedule,
-                                  std::vector<double> departure, int changed_path,
-                                  double old_delay, const FixpointOptions& options) {
-  const CombPath& path = circuit.path(changed_path);
-  if (path.delay < old_delay) {
-    // A decrease can lower departures anywhere downstream of the old
-    // critical support; recompute from scratch (event-driven, from zero —
-    // the least fixpoint is the analysis answer).
-    FixpointOptions full = options;
-    full.scheme = UpdateScheme::kEventDriven;
-    return compute_departures(circuit, schedule,
-                              std::vector<double>(departure.size(), 0.0), full);
-  }
-
-  // Increase: the new least fixpoint dominates the old one, and the old
-  // point satisfies every inequality except possibly at the changed path's
-  // destination. Event-driven propagation seeded there converges upward to
-  // the new fixpoint.
-  const TimingView view(circuit);
-  const ShiftTable shifts(schedule);
-  const StageTimer timer;
-  const int l = view.num_elements();
-  FixpointResult res;
-  res.departure = std::move(departure);
-  res.stats.view_build_seconds = view.build_seconds();
-  res.stats.shift_build_seconds = shifts.build_seconds();
-  const double bound =
-      std::fabs(shifts.cycle()) * (view.num_phases() + 1) + 1.0 + view.divergence_base();
-
-  std::vector<bool> queued(static_cast<size_t>(l), false);
-  std::vector<int> work;
-  work.push_back(path.to);
-  queued[static_cast<size_t>(path.to)] = true;
-  const long max_updates =
-      static_cast<long>(options.effective_max_sweeps(l)) * std::max(1, l);
-  size_t head = 0;
-  while (head < work.size()) {
-    if (static_cast<long>(res.updates) >= max_updates) break;
-    const int i = work[head++];
-    queued[static_cast<size_t>(i)] = false;
-    ++res.updates;
-    res.stats.edge_relaxations += view.fanin_count(i);
-    const double v = mintc::departure_update(view, shifts, res.departure, i);
-    if (v <= res.departure[static_cast<size_t>(i)] + options.eps) continue;
-    res.departure[static_cast<size_t>(i)] = v;
-    if (v > bound) {
-      res.diverged = true;
-      res.status = FixpointStatus::kDiverged;
-      res.stats.solve_seconds = timer.seconds();
-      res.stats.wall_seconds =
-          res.stats.solve_seconds + view.build_seconds() + shifts.build_seconds();
-      return res;
-    }
-    const EdgeIndex fo_end = view.fanout_end(i);
-    for (EdgeIndex f = view.fanout_begin(i); f < fo_end; ++f) {
-      const int dst = view.edge_dst(view.fanout_edge(f));
-      if (!queued[static_cast<size_t>(dst)]) {
-        queued[static_cast<size_t>(dst)] = true;
-        work.push_back(dst);
-      }
-    }
-  }
-  if (head == work.size()) res.converged = true;
-  if (res.converged) {
-    res.status = FixpointStatus::kConverged;
-  } else if (res.diverged) {
-    res.status = FixpointStatus::kDiverged;
-  } else {
-    res.status = FixpointStatus::kSweepLimit;
-    res.residual = fixpoint_residual(view, shifts, res.departure);
-  }
-  res.sweeps = (res.updates + l - 1) / std::max(1, l);
-  res.stats.sweeps = res.sweeps;
-  res.stats.solve_seconds = timer.seconds();
-  res.stats.wall_seconds =
-      res.stats.solve_seconds + view.build_seconds() + shifts.build_seconds();
-  return res;
-}
-
 std::vector<double> compute_arrivals(const Circuit& circuit, const ClockSchedule& schedule,
                                      const std::vector<double>& departure) {
   const TimingView view(circuit);

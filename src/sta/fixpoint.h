@@ -124,8 +124,8 @@ double divergence_bound(const TimingView& view, const ShiftTable& shifts);
 
 /// The latch connectivity graph rebuilt from the view, edge-for-edge
 /// identical to Circuit::latch_graph() (insertion in path order keeps the
-/// SCC decomposition — and therefore the kSccOrdered / parallel sweep
-/// orders — unchanged).
+/// SCC decomposition — and therefore the kSccOrdered sweep order —
+/// unchanged).
 graph::Digraph latch_graph_of(const TimingView& view);
 
 /// Arrival times A_i (eq. 14) given fixed departures. Latches with no fanin
@@ -149,15 +149,5 @@ std::vector<double> compute_arrivals(const TimingView& view, const ShiftTable& s
 FixpointResult warm_departures(const TimingView& view, const ShiftTable& shifts,
                                std::vector<double> departure, const std::vector<int>& seeds,
                                const FixpointOptions& options = {});
-
-/// Incremental re-analysis after one path's delay changed: starting from the
-/// previous fixpoint `departure`, propagate only from the changed path's
-/// destination (event-driven). Exact for delay INCREASES (the fixpoint moves
-/// monotonically up from the old one); for decreases the result can be stale
-/// upstream of clamps, so the implementation falls back to a full event-
-/// driven solve when the new delay is smaller. Returns the updated fixpoint.
-FixpointResult incremental_update(const Circuit& circuit, const ClockSchedule& schedule,
-                                  std::vector<double> departure, int changed_path,
-                                  double old_delay, const FixpointOptions& options = {});
 
 }  // namespace mintc::sta

@@ -448,29 +448,17 @@ const TimingReport& AnalysisSession::analyze() {
 
   bool rebuilt = false;
   if (!view_ || structural_dirty_) {
-    parallel_.reset();
     view_.emplace(circuit_);
     shifts_.emplace(schedule_);
     rebuilt = true;
   }
   const int l = circuit_.num_elements();
 
-  // Cold solve through the engine AnalysisOptions selects: the scalar scheme
-  // by default, the SCC-parallel engine when num_threads >= 1. Warm starts
-  // stay on the scalar event-driven path — they touch a handful of latches,
-  // far below the parallel engine's useful granularity.
+  // Cold solve: the scheme AnalysisOptions::fixpoint selects, from zero —
+  // exactly what check_schedule runs.
   const auto cold_solve = [&]() -> FixpointResult {
-    std::vector<double> zeros(static_cast<size_t>(l), 0.0);
-    if (options_.num_threads >= 1) {
-      if (!parallel_) {
-        ParallelFixpointOptions popt;
-        popt.num_threads = options_.num_threads;
-        popt.fixpoint = options_.fixpoint;
-        parallel_.emplace(*view_, popt);
-      }
-      return parallel_->solve(*shifts_, std::move(zeros));
-    }
-    return compute_departures(*view_, *shifts_, std::move(zeros), options_.fixpoint);
+    return compute_departures(*view_, *shifts_, std::vector<double>(static_cast<size_t>(l), 0.0),
+                              options_.fixpoint);
   };
 
   // Warm start is sound only for a monotone-nondecreasing perturbation of a
@@ -510,7 +498,6 @@ const TimingReport& AnalysisSession::analyze() {
       // The incrementally maintained divergence bound can drift by ulps from
       // a fresh build's; on the (rare) non-converged path, rebuild and rerun
       // so even the divergence diagnostics match a cold analysis exactly.
-      parallel_.reset();
       view_.emplace(circuit_);
       shifts_.emplace(schedule_);
       rebuilt = true;

@@ -48,7 +48,6 @@
 #include "model/timing_view.h"
 #include "obs/metrics.h"
 #include "sta/analysis.h"
-#include "sta/parallel_fixpoint.h"
 
 namespace mintc::sta {
 
@@ -227,9 +226,6 @@ class AnalysisSession {
 
   std::optional<TimingView> view_;
   std::optional<ShiftTable> shifts_;
-  // Lazily built when options_.num_threads >= 1 routes cold solves through
-  // the SCC-parallel engine; tied to view_'s lifetime (reset on rebuild).
-  std::optional<ParallelFixpoint> parallel_;
 
   TimingReport report_;
   bool report_valid_ = false;  // report_ matches the current state

@@ -1,4 +1,4 @@
-// Work-stealing thread pool used by the parallel fixpoint engine.
+// Work-stealing thread pool used by the socket server.
 #include "base/thread_pool.h"
 
 #include <gtest/gtest.h>

@@ -85,8 +85,7 @@ TEST(Generators, MultiPhaseVariant) {
 
 // ---------------------------------------------------------------------------
 // Large-scale timing-graph generators (deep pipelines, meshes, SCC soups).
-// Scaled-down configs here; the 10^5..10^6 shapes run in
-// bench_parallel_fixpoint.
+// Scaled-down configs keep tier-1 fast.
 // ---------------------------------------------------------------------------
 
 graph::SccResult sccs_of(const Circuit& c) {
@@ -170,7 +169,10 @@ TEST(LargeGenerators, DeterministicAcrossCalls) {
 
 TEST(LargeGenerators, ConvergeUnderTheGeneratorSchedule) {
   // generator_schedule's Tc > k * (dq + delay) bound makes every loop's gain
-  // strictly negative for all three families (see generators.h).
+  // strictly negative for all three families (see generators.h), so every
+  // UpdateScheme converges, and to the same least fixpoint. The larger
+  // partition extremes (64x16 ring, 10^4-component soup, 40x40 mesh) run in
+  // the ParallelDeterminism suite.
   DeepPipelineConfig pipe;
   pipe.depth = 30;
   pipe.width = 4;
@@ -189,7 +191,20 @@ TEST(LargeGenerators, ConvergeUnderTheGeneratorSchedule) {
   for (const Circuit& c : circuits) {
     const ClockSchedule sch = generator_schedule(c.num_phases(), dq, delay);
     const sta::TimingReport rep = sta::check_schedule(c, sch);
-    EXPECT_TRUE(rep.converged) << c.name();
+    ASSERT_TRUE(rep.converged) << c.name();
+    const TimingView view(c);
+    const ShiftTable shifts(sch);
+    for (const auto scheme : {sta::UpdateScheme::kJacobi, sta::UpdateScheme::kGaussSeidel,
+                              sta::UpdateScheme::kEventDriven,
+                              sta::UpdateScheme::kSccOrdered}) {
+      sta::FixpointOptions opt;
+      opt.scheme = scheme;
+      const sta::FixpointResult r = sta::compute_departures(
+          view, shifts, std::vector<double>(static_cast<size_t>(c.num_elements()), 0.0), opt);
+      ASSERT_TRUE(r.converged) << c.name() << " " << sta::to_string(scheme);
+      EXPECT_EQ(r.departure, rep.fixpoint.departure)
+          << c.name() << " " << sta::to_string(scheme);
+    }
   }
 }
 

@@ -692,7 +692,7 @@ TEST(ServeService, MetricsVerbEmitsPrometheusText) {
 // tree, sliced out of the shared ring by trace id via the `trace` verb.
 TEST(ServeService, TraceVerbReturnsTheSampledRequestTree) {
   obs::Tracer::instance().clear();
-  TimingService service;  // analyze_threads=0: whole solve on this thread
+  TimingService service;  // the whole solve runs on this thread
   load_example1(service, "e1");
 
   const Json response = service.handle(req({{"verb", Json("analyze")},

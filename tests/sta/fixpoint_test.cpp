@@ -40,8 +40,8 @@ TEST(Fixpoint, SchemesAgreeOnLeastFixpoint) {
   const Circuit c = circuits::example1(120.0);
   const ClockSchedule sch(140.0, {0.0, 90.0}, {90.0, 50.0});
   std::vector<std::vector<double>> results;
-  for (const auto scheme :
-       {UpdateScheme::kJacobi, UpdateScheme::kGaussSeidel, UpdateScheme::kEventDriven}) {
+  for (const auto scheme : {UpdateScheme::kJacobi, UpdateScheme::kGaussSeidel,
+                            UpdateScheme::kEventDriven, UpdateScheme::kSccOrdered}) {
     FixpointOptions opt;
     opt.scheme = scheme;
     const FixpointResult r = compute_departures(c, sch, std::vector<double>(4, 0.0), opt);

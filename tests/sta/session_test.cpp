@@ -13,9 +13,11 @@
 
 #include "circuits/example1.h"
 #include "circuits/gaas.h"
+#include "circuits/synthetic.h"
 #include "opt/mlp.h"
 #include "sta/analysis.h"
 #include "sta/corners.h"
+#include "sta/fixpoint.h"
 
 namespace mintc::sta {
 namespace {
@@ -95,6 +97,40 @@ TEST(AnalysisSession, DelayIncreaseWarmStartsAndBitMatches) {
   EXPECT_EQ(session.counters().invalidations, 1);
 }
 
+// The session's warm path is the repo's incremental update: after a path
+// delay increase it re-relaxes only what the edit reaches. On a wide circuit,
+// bumping one path must not re-visit every latch.
+TEST(Incremental, TouchesFewerNodesThanFullSolve) {
+  circuits::SyntheticParams p;
+  p.num_phases = 2;
+  p.num_stages = 10;
+  p.latches_per_stage = 4;
+  const Fixture f(circuits::synthetic_circuit(p, 12));
+  AnalysisSession session(f.circuit, f.schedule, f.options);
+  session.analyze();
+  const double d0 = f.circuit.path(0).delay;
+  session.set_path_delay(0, d0 + 1.0);  // small bump, localized effect
+  Circuit mutated = f.circuit;
+  mutated.set_path_delay(0, d0 + 1.0);
+  const TimingReport& warm = session.analyze();
+  ASSERT_TRUE(warm.converged);
+  EXPECT_EQ(session.counters().warm_hits, 1);
+  EXPECT_EQ(session.counters().cold_fallbacks, 0);
+  const TimingReport cold = f.fresh(mutated, f.schedule);
+  expect_reports_identical(warm, cold);
+  EXPECT_LT(warm.fixpoint.updates, cold.fixpoint.updates);
+  // Also fewer than an event-driven solve from zero, the cheapest cold
+  // scheme in updates.
+  FixpointOptions evd;
+  evd.scheme = UpdateScheme::kEventDriven;
+  const FixpointResult full = compute_departures(
+      mutated, f.schedule,
+      std::vector<double>(static_cast<size_t>(mutated.num_elements()), 0.0), evd);
+  ASSERT_TRUE(full.converged);
+  EXPECT_LT(warm.fixpoint.updates, full.updates);
+  EXPECT_EQ(warm.fixpoint.departure, full.departure);
+}
+
 TEST(AnalysisSession, DelayDecreaseFallsBackColdAndBitMatches) {
   const Fixture f(circuits::gaas_datapath());
   AnalysisSession session(f.circuit, f.schedule, f.options);
@@ -106,6 +142,23 @@ TEST(AnalysisSession, DelayDecreaseFallsBackColdAndBitMatches) {
   expect_reports_identical(session.analyze(), f.fresh(mutated, f.schedule));
   EXPECT_EQ(session.counters().warm_hits, 0);
   EXPECT_EQ(session.counters().cold_fallbacks, 1);
+}
+
+TEST(AnalysisSession, DivergenceDetectedOnRunawayIncrease) {
+  Circuit c("race", 1);
+  c.add_latch("A", 1, 1.0, 2.0);
+  c.add_latch("B", 1, 1.0, 2.0);
+  c.add_path("A", "B", 1.0);
+  c.add_path("B", "A", 1.0);
+  const ClockSchedule sch(10.0, {0.0}, {10.0});
+  AnalysisSession session(c, sch);
+  ASSERT_TRUE(session.analyze().converged);  // feasible: tiny delays
+  session.set_path_delay(0, 30.0);            // now the loop gains every traversal
+  c.set_path_delay(0, 30.0);
+  const TimingReport& rep = session.analyze();
+  EXPECT_TRUE(rep.fixpoint.diverged);
+  EXPECT_FALSE(rep.feasible);
+  expect_reports_identical(rep, check_schedule(c, sch));
 }
 
 TEST(AnalysisSession, ScheduleShrinkWarmStartsGrowFallsBack) {

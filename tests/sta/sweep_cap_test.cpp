@@ -118,8 +118,7 @@ TEST(SweepCap, DeepPipelineConvergesUnderTheAutoBudget) {
   // The bug this fix exists for: a chain deeper than the old fixed default
   // would silently "finish" under Jacobi at 100000 sweeps. The auto budget
   // must cover it. (Depth here is reduced from 10^6 to keep tier-1 fast; the
-  // budget math is exercised identically and the full scale runs in
-  // bench_parallel_fixpoint.)
+  // budget math is exercised identically.)
   netlist::DeepPipelineConfig cfg;
   cfg.depth = 2000;
   cfg.width = 1;
